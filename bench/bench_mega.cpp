@@ -8,23 +8,20 @@
 /// Measures what the interned-lock-path representation buys on
 /// megaprograms. Generates the fuzzer's `mega` family (a layered call
 /// DAG over global hubs with one atomic section per function) at 1e5
-/// and 1e6 source lines and runs the full analysis in three
-/// configurations, each in its own subprocess so peak RSS is honest:
+/// and 1e6 source lines and runs two configurations, each in its own
+/// subprocess so peak RSS is honest:
 ///
 ///   baseline — front end only (parse → points-to), no lock inference;
-///              subtracted from the other two so the ratios measure the
-///              analysis-attributable cost, not the shared AST/IR.
-///   legacy   — InternSharing=false, DedupSummaries=false: one node per
-///              lock construction, deep hashing and equality, one
-///              LockSet copy per published summary (the pre-interner
-///              representation; the toggle lives only in
-///              InferenceOptions and this bench).
-///   interned — the default configuration.
+///              subtracted from the interned leg so analysis_rss_kb
+///              measures the analysis-attributable cost, not the shared
+///              AST/IR.
+///   interned — the full analysis.
 ///
 /// Emits BENCH_mega.json: per size, each configuration's analysis wall
-/// time, peak RSS (VmHWM), interner hit rate and dedup counters, plus
-/// the legacy/interned ratios the acceptance gate reads. `--quick` runs
-/// the 1e5-line size only (the CI mega-smoke step).
+/// time, peak RSS (VmHWM), interner counters and dedup counters, plus the
+/// interner hit rate. `--quick` runs the 1e5-line size only (the CI
+/// mega-smoke step, which gates on the interned leg's deterministic
+/// counters).
 ///
 /// Usage: bench_mega [--quick] [--out PATH]
 ///        bench_mega --child CONFIG --lines N   (internal)
@@ -85,6 +82,10 @@ struct ChildResult {
 /// Child mode: one configuration at one size, results as key=value
 /// lines on stdout (the parent parses them; errors go to stderr).
 int runChild(const std::string &Config, unsigned Lines) {
+  if (Config != "baseline" && Config != "interned") {
+    std::fprintf(stderr, "bench_mega: unknown config '%s'\n", Config.c_str());
+    return 2;
+  }
   fuzz::GenOptions Gen;
   Gen.F = fuzz::Family::Mega;
   Gen.Seed = 42;
@@ -114,11 +115,8 @@ int runChild(const std::string &Config, unsigned Lines) {
     InferenceOptions Opts;
     Opts.Jobs = 1;
     // Megaprograms are where the higher-precision k settings matter, and
-    // longer paths are exactly what the representation change targets;
-    // both configurations analyze at the same k.
+    // longer paths are exactly what the interned representation targets.
     Opts.K = 6;
-    Opts.InternSharing = Config == "interned";
-    Opts.DedupSummaries = Config == "interned";
     LockInference Inference(*Module, PT, CG, Opts);
     auto A0 = std::chrono::steady_clock::now();
     InferenceResult Result = Inference.run();
@@ -246,42 +244,25 @@ int main(int Argc, char **Argv) {
   bool AllOk = true;
   for (unsigned Lines : Sizes) {
     std::printf("bench_mega: %u lines...\n", Lines);
-    ChildResult Baseline, Legacy, Interned;
+    ChildResult Baseline, Interned;
     if (!runConfig("baseline", Lines, Baseline) ||
-        !runConfig("legacy", Lines, Legacy) ||
         !runConfig("interned", Lines, Interned)) {
       std::fprintf(stderr, "bench_mega: child failed at %u lines\n", Lines);
       AllOk = false;
       break;
     }
-    double Speedup = Interned.AnalyzeSeconds > 0
-                         ? Legacy.AnalyzeSeconds / Interned.AnalyzeSeconds
-                         : 0;
-    double LegacyOver =
-        static_cast<double>(Legacy.PeakRssKb > Baseline.PeakRssKb
-                                ? Legacy.PeakRssKb - Baseline.PeakRssKb
-                                : 0);
-    double InternedOver =
-        static_cast<double>(Interned.PeakRssKb > Baseline.PeakRssKb
-                                ? Interned.PeakRssKb - Baseline.PeakRssKb
-                                : 1);
-    double RssRatio = InternedOver > 0 ? LegacyOver / InternedOver : 0;
     double HitRate =
         Interned.InternerNodes + Interned.InternerHits > 0
             ? static_cast<double>(Interned.InternerHits) /
                   static_cast<double>(Interned.InternerNodes +
                                       Interned.InternerHits)
             : 0;
-    std::printf("  legacy:   %7.2fs analyze, %8llu KiB peak\n",
-                Legacy.AnalyzeSeconds,
-                static_cast<unsigned long long>(Legacy.PeakRssKb));
     std::printf("  interned: %7.2fs analyze, %8llu KiB peak "
-                "(speedup %.2fx, rss ratio %.2fx, hit rate %.3f, "
-                "deduped %llu)\n",
+                "(hit rate %.3f, deduped %llu, arena %llu bytes)\n",
                 Interned.AnalyzeSeconds,
-                static_cast<unsigned long long>(Interned.PeakRssKb), Speedup,
-                RssRatio, HitRate,
-                static_cast<unsigned long long>(Interned.Deduped));
+                static_cast<unsigned long long>(Interned.PeakRssKb), HitRate,
+                static_cast<unsigned long long>(Interned.Deduped),
+                static_cast<unsigned long long>(Interned.ArenaBytes));
 
     if (!FirstSize)
       O << ",\n";
@@ -289,12 +270,8 @@ int main(int Argc, char **Argv) {
     O << "    {\n      \"lines\": " << Baseline.Lines << ",\n";
     emitConfig(O, "baseline", Baseline, Baseline);
     O << ",\n";
-    emitConfig(O, "legacy", Legacy, Baseline);
-    O << ",\n";
     emitConfig(O, "interned", Interned, Baseline);
-    O << ",\n      \"analyze_speedup\": " << Speedup
-      << ",\n      \"analysis_rss_ratio\": " << RssRatio
-      << ",\n      \"interner_hit_rate\": " << HitRate << "\n    }";
+    O << ",\n      \"interner_hit_rate\": " << HitRate << "\n    }";
   }
   O << "\n  ]\n}\n";
 

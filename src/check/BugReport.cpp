@@ -6,6 +6,8 @@
 
 #include "check/BugReport.h"
 
+#include "support/JsonString.h"
+
 #include <algorithm>
 #include <cstdio>
 #include <sstream>
@@ -56,44 +58,17 @@ std::string dedupKey(const Finding &F) {
   return Key;
 }
 
-/// JSON string escaping (control characters, quotes, backslashes).
-std::string jsonEscape(const std::string &S) {
+/// \p S as a quoted JSON string literal.
+std::string quoted(std::string_view S) {
   std::string Out;
-  Out.reserve(S.size() + 8);
-  for (unsigned char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += static_cast<char>(C);
-      }
-    }
-  }
+  support::appendJsonString(Out, S);
   return Out;
 }
 
 void appendSiteJson(std::ostringstream &Out, const FindingSite &S) {
-  Out << "{\"function\":\"" << jsonEscape(S.Function) << "\",\"line\":"
-      << S.Loc.Line << ",\"column\":" << S.Loc.Col << ",\"role\":\""
-      << jsonEscape(S.Role) << "\"}";
+  Out << "{\"function\":" << quoted(S.Function) << ",\"line\":"
+      << S.Loc.Line << ",\"column\":" << S.Loc.Col
+      << ",\"role\":" << quoted(S.Role) << "}";
 }
 
 } // namespace
@@ -129,8 +104,8 @@ std::vector<Finding> BugReportMgr::take() {
 
 std::string CheckReport::json(const std::string &Artifact) const {
   std::ostringstream Out;
-  Out << "{\"tool\":\"lockin-check\",\"module\":\"" << jsonEscape(Artifact)
-      << "\",\"summary\":{\"findings\":" << Findings.size()
+  Out << "{\"tool\":\"lockin-check\",\"module\":" << quoted(Artifact)
+      << ",\"summary\":{\"findings\":" << Findings.size()
       << ",\"sections\":" << Stats.Sections
       << ",\"elidedSections\":" << Stats.ElidedSections
       << ",\"bareAccesses\":" << Stats.BareAccesses
@@ -141,9 +116,8 @@ std::string CheckReport::json(const std::string &Artifact) const {
     if (I)
       Out << ",";
     Out << "{\"kind\":\"" << findingKindId(F.Kind) << "\",\"level\":\""
-        << findingKindLevel(F.Kind) << "\",\"message\":\""
-        << jsonEscape(F.Message) << "\",\"locks\":\""
-        << jsonEscape(F.LockSignature) << "\",\"locations\":[";
+        << findingKindLevel(F.Kind) << "\",\"message\":" << quoted(F.Message)
+        << ",\"locks\":" << quoted(F.LockSignature) << ",\"locations\":[";
     for (size_t J = 0; J < F.Sites.size(); ++J) {
       if (J)
         Out << ",";
@@ -179,8 +153,8 @@ std::string CheckReport::sarif(const std::string &Artifact) const {
     if (I)
       Out << ",";
     Out << "{\"id\":\"" << findingKindId(Kinds[I])
-        << "\",\"shortDescription\":{\"text\":\"" << jsonEscape(Descriptions[I])
-        << "\"}}";
+        << "\",\"shortDescription\":{\"text\":" << quoted(Descriptions[I])
+        << "}}";
   }
   Out << "]}},\"results\":[";
   for (size_t I = 0; I < Findings.size(); ++I) {
@@ -189,20 +163,19 @@ std::string CheckReport::sarif(const std::string &Artifact) const {
       Out << ",";
     Out << "{\"ruleId\":\"" << findingKindId(F.Kind) << "\",\"ruleIndex\":"
         << static_cast<unsigned>(F.Kind) << ",\"level\":\""
-        << findingKindLevel(F.Kind) << "\",\"message\":{\"text\":\""
-        << jsonEscape(F.Message) << "\"},\"locations\":[";
+        << findingKindLevel(F.Kind) << "\",\"message\":{\"text\":"
+        << quoted(F.Message) << "},\"locations\":[";
     for (size_t J = 0; J < F.Sites.size(); ++J) {
       const FindingSite &S = F.Sites[J];
       if (J)
         Out << ",";
-      Out << "{\"physicalLocation\":{\"artifactLocation\":{\"uri\":\""
-          << jsonEscape(Artifact) << "\"},\"region\":{\"startLine\":"
+      Out << "{\"physicalLocation\":{\"artifactLocation\":{\"uri\":"
+          << quoted(Artifact) << "},\"region\":{\"startLine\":"
           << (S.Loc.isValid() ? S.Loc.Line : 1u)
           << ",\"startColumn\":" << (S.Loc.isValid() ? S.Loc.Col : 1u)
-          << "}},\"message\":{\"text\":\"" << jsonEscape(S.Role) << "\"}}";
+          << "}},\"message\":{\"text\":" << quoted(S.Role) << "}}";
     }
-    Out << "],\"properties\":{\"locks\":\"" << jsonEscape(F.LockSignature)
-        << "\"}}";
+    Out << "],\"properties\":{\"locks\":" << quoted(F.LockSignature) << "}}";
   }
   Out << "]}]}";
   return Out.str();

@@ -47,23 +47,19 @@ LockInference::LockInference(const IrModule &Module,
                              const PointsToAnalysis &PT,
                              InferenceOptions Options)
     : Module(Module),
-      Interner(std::make_shared<LockInterner>(Options.InternSharing)),
-      Ctx{Module, PT, Options.K, *Interner, Options.InternSharing},
-      Options(Options),
+      Interner(std::make_shared<LockInterner>()),
+      Ctx{Module, PT, Options.K, *Interner}, Options(Options),
       OwnedCG(std::make_unique<analysis::CallGraph>(Module)), CG(*OwnedCG),
-      Summaries(Module, CG, Ctx, *this, Options.MaxSummaryRounds,
-                Options.DedupSummaries) {}
+      Summaries(Module, CG, Ctx, *this, Options.MaxSummaryRounds) {}
 
 LockInference::LockInference(const IrModule &Module,
                              const PointsToAnalysis &PT,
                              const analysis::CallGraph &ExtCG,
                              InferenceOptions Options)
     : Module(Module),
-      Interner(std::make_shared<LockInterner>(Options.InternSharing)),
-      Ctx{Module, PT, Options.K, *Interner, Options.InternSharing},
-      Options(Options), CG(ExtCG),
-      Summaries(Module, CG, Ctx, *this, Options.MaxSummaryRounds,
-                Options.DedupSummaries) {}
+      Interner(std::make_shared<LockInterner>()),
+      Ctx{Module, PT, Options.K, *Interner}, Options(Options), CG(ExtCG),
+      Summaries(Module, CG, Ctx, *this, Options.MaxSummaryRounds) {}
 
 namespace {
 
@@ -224,8 +220,7 @@ LockSet LockInference::transferInst(const InstStmt *St,
   // (statement, after-set) pair until convergence, and transferInst is
   // pure in it, so a hit replaces the entire per-lock loop below with one
   // flat copy of the cached result.
-  bool Memoable =
-      Ctx.FastPaths && Cache && St->stmtId() != IrStmt::InvalidStmtId;
+  bool Memoable = Cache && St->stmtId() != IrStmt::InvalidStmtId;
   if (Memoable) {
     if (const LockSet *Memo = Cache->findSet(St->stmtId(), After)) {
       ++Cache->SetHits;

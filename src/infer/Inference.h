@@ -61,14 +61,6 @@ struct InferenceOptions {
   /// The incremental service uses this to re-analyze exactly the cache
   /// misses while serving every hit from the content-hashed cache.
   std::vector<uint32_t> OnlySections;
-  /// Hash-cons lock paths and index expressions (flyweight sharing).
-  /// Off restores the pre-interner costs — one node per construction,
-  /// deep hashing/equality — and exists only for bench_mega's
-  /// before/after comparison; reports are identical either way.
-  bool InternSharing = true;
-  /// Share storage of structurally identical final summaries (see
-  /// FunctionSummaries); value-neutral, also benchmarked via bench_mega.
-  bool DedupSummaries = true;
   /// MHP-driven lock elision: after inference, sections proven
   /// never-parallel with every conflicting section and bare access keep
   /// their inferred lock sets for the record but are marked elided — the

@@ -99,10 +99,8 @@ FunctionSummaries::FunctionSummaries(const IrModule &M,
                                      const analysis::CallGraph &CG,
                                      const TransferContext &Ctx,
                                      SummaryBodyEvaluator &Eval,
-                                     unsigned MaxSccRounds,
-                                     bool DedupSummaries)
-    : Module(M), CG(CG), Ctx(Ctx), Eval(Eval), MaxSccRounds(MaxSccRounds),
-      Dedup(DedupSummaries) {
+                                     unsigned MaxSccRounds)
+    : Module(M), CG(CG), Ctx(Ctx), Eval(Eval), MaxSccRounds(MaxSccRounds) {
   Sccs.resize(CG.numSccs());
   for (auto &S : Sccs)
     S = std::make_unique<SccState>();
@@ -180,26 +178,21 @@ LockSet FunctionSummaries::evaluate(SccState &S, const Key &K, bool Hot) {
 }
 
 void FunctionSummaries::publish(Entry &E) {
-  if (Dedup) {
-    size_t H = E.Locks.contentHash();
-    std::lock_guard<std::mutex> Guard(DedupMu);
-    auto &Bucket = DedupTable[H];
-    for (const auto &Shared : Bucket)
-      if (Shared->sameSequence(E.Locks)) {
-        // An identical set was already published: share it and free the
-        // local copy. The shared object is element-wise equal, so every
-        // reader sees the same value it would have seen.
-        E.Published = Shared;
-        E.Locks = LockSet();
-        E.Final = true;
-        ++DedupHits;
-        return;
-      }
-    auto Shared = std::make_shared<const LockSet>(std::move(E.Locks));
-    Bucket.push_back(Shared);
-    E.Published = std::move(Shared);
-  } else {
+  size_t H = E.Locks.contentHash();
+  std::lock_guard<std::mutex> Guard(DedupMu);
+  auto &Bucket = DedupTable[H];
+  for (const auto &Shared : Bucket)
+    if (Shared->sameSequence(E.Locks)) {
+      // An identical set was already published: share it and free the
+      // local copy. The shared object is element-wise equal, so every
+      // reader sees the same value it would have seen.
+      E.Published = Shared;
+      ++DedupHits;
+      break;
+    }
+  if (!E.Published) {
     E.Published = std::make_shared<const LockSet>(std::move(E.Locks));
+    Bucket.push_back(E.Published);
   }
   E.Locks = LockSet();
   E.Final = true;

@@ -86,14 +86,13 @@ struct SummaryStats {
 /// discipline above.
 class FunctionSummaries {
 public:
-  /// \p DedupSummaries shares the lock-set storage of structurally
-  /// identical final entries behind a content hash. Sharing never changes
-  /// a returned set's value (the shared object is element-wise equal to
-  /// the one it replaces), so reports stay byte-identical with the flag
-  /// either way; it only drops duplicate storage.
+  /// Final entries with structurally identical lock sets share one
+  /// published object behind a content hash. Sharing never changes a
+  /// returned set's value (the shared object is element-wise equal to the
+  /// one it replaces); it only drops duplicate storage.
   FunctionSummaries(const ir::IrModule &M, const analysis::CallGraph &CG,
                     const TransferContext &Ctx, SummaryBodyEvaluator &Eval,
-                    unsigned MaxSccRounds, bool DedupSummaries = true);
+                    unsigned MaxSccRounds);
 
   /// Locks needed at F's entry (in F's naming) to cover \p L at F's exit.
   /// The returned set is final and immutable unless the query is re-entered
@@ -170,7 +169,7 @@ private:
   const LockSet &query(Key K);
   LockSet evaluate(SccState &S, const Key &K, bool Hot);
   /// Marks \p E final, moving its locks into shared storage (reusing an
-  /// identical published set when deduplication is on).
+  /// identical published set if there is one).
   void publish(Entry &E);
 
   const ir::IrModule &Module;
@@ -178,7 +177,6 @@ private:
   const TransferContext &Ctx;
   SummaryBodyEvaluator &Eval;
   const unsigned MaxSccRounds;
-  const bool Dedup;
 
   std::vector<std::unique_ptr<SccState>> Sccs; // indexed by SCC id
   std::unordered_map<const ir::IrFunction *, std::set<RegionId>>

@@ -274,7 +274,7 @@ void lockin::transferLock(const LockName &L, const InstStmt *St,
   // steps below are the identity, and re-finalizing would rebuild the
   // same lock. (No false negatives: the mask covers the base and every
   // index leaf.)
-  if (Ctx.FastPaths && !L.pathMayMention(X)) {
+  if (!L.pathMayMention(X)) {
     Out.insert(L);
     return;
   }
@@ -405,15 +405,13 @@ void TransferCache::apply(const LockName &L, const InstStmt *St,
   // and a fine lock whose path cannot read the defined variable passes
   // through any non-store statement unchanged. Caching them would only
   // grow the table (these are the overwhelmingly common cases).
-  if (Ctx.FastPaths) {
-    if (!L.isFine()) {
-      Out.insert(L);
-      return;
-    }
-    if (St->kind() != IrStmt::Kind::Store && !L.pathMayMention(St->def())) {
-      Out.insert(L);
-      return;
-    }
+  if (!L.isFine()) {
+    Out.insert(L);
+    return;
+  }
+  if (St->kind() != IrStmt::Kind::Store && !L.pathMayMention(St->def())) {
+    Out.insert(L);
+    return;
   }
   if (St->stmtId() == IrStmt::InvalidStmtId) {
     transferLock(L, St, Ctx, Out);

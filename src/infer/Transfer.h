@@ -51,12 +51,6 @@ struct TransferContext {
   /// rounds reuse one node per distinct path. Thread-safe, shared by all
   /// workers of one inference run.
   LockInterner &Interner;
-  /// Enables the representation-era fast paths (variable-mask identity
-  /// skip, whole-set memo). bench_mega's legacy toggle turns them off
-  /// together with node sharing so the legacy configuration reproduces
-  /// the pre-refactor analysis, not just its node layout; everywhere else
-  /// this is true.
-  bool FastPaths = true;
 
   /// True if accesses to the cell &V need a lock: globals and
   /// address-taken locals may be shared between threads.

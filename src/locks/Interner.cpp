@@ -11,8 +11,8 @@
 using namespace lockin;
 using namespace lockin::ir;
 
-// Mirrors the hashCombine in LockExpr.cpp; construction-time hashes and
-// IdxExpr::deepHash must agree so sharing and legacy nodes hash alike.
+// Mirrors the hashCombine in LockExpr.cpp, which folds IdxExpr hashes into
+// LockExpr::hash.
 static size_t hashCombine(size_t Seed, size_t Value) {
   return Seed ^ (Value + 0x9e3779b97f4a7c15ULL + (Seed << 6) + (Seed >> 2));
 }
@@ -28,22 +28,19 @@ IdxExpr::Ptr LockInterner::idxConst(int64_t Value) {
   size_t H = hashCombine(static_cast<size_t>(IdxExpr::Kind::Const),
                          static_cast<size_t>(Value));
   std::lock_guard<std::mutex> Lock(Mu);
-  if (Share) {
-    for (IdxExpr::Ptr E : IdxTable[H])
-      if (E->kind() == IdxExpr::Kind::Const && E->constValue() == Value) {
-        ++Counters.IdxHits;
-        return E;
-      }
-  }
+  std::vector<IdxExpr::Ptr> &Bucket = IdxTable[H];
+  for (IdxExpr::Ptr E : Bucket)
+    if (E->kind() == IdxExpr::Kind::Const && E->constValue() == Value) {
+      ++Counters.IdxHits;
+      return E;
+    }
   IdxExpr *E = newIdx();
   E->K = IdxExpr::Kind::Const;
   E->Value = Value;
   E->Sz = 1;
   E->H = H;
-  E->Shared = Share;
   ++Counters.IdxNodes;
-  if (Share)
-    IdxTable[H].push_back(E);
+  Bucket.push_back(E);
   return E;
 }
 
@@ -52,23 +49,20 @@ IdxExpr::Ptr LockInterner::idxVar(const Variable *Var) {
   size_t H = hashCombine(static_cast<size_t>(IdxExpr::Kind::VarVal),
                          reinterpret_cast<size_t>(Var));
   std::lock_guard<std::mutex> Lock(Mu);
-  if (Share) {
-    for (IdxExpr::Ptr E : IdxTable[H])
-      if (E->kind() == IdxExpr::Kind::VarVal && E->var() == Var) {
-        ++Counters.IdxHits;
-        return E;
-      }
-  }
+  std::vector<IdxExpr::Ptr> &Bucket = IdxTable[H];
+  for (IdxExpr::Ptr E : Bucket)
+    if (E->kind() == IdxExpr::Kind::VarVal && E->var() == Var) {
+      ++Counters.IdxHits;
+      return E;
+    }
   IdxExpr *E = newIdx();
   E->K = IdxExpr::Kind::VarVal;
   E->Var = Var;
   E->VarMask = varBit(Var);
   E->Sz = 1;
   E->H = H;
-  E->Shared = Share;
   ++Counters.IdxNodes;
-  if (Share)
-    IdxTable[H].push_back(E);
+  Bucket.push_back(E);
   return E;
 }
 
@@ -80,16 +74,15 @@ IdxExpr::Ptr LockInterner::idxBin(IntBinOp Op, IdxExpr::Ptr Lhs,
   H = hashCombine(H, Lhs->hash());
   H = hashCombine(H, Rhs->hash());
   std::lock_guard<std::mutex> Lock(Mu);
-  if (Share) {
-    // Operands of interned expressions are canonical, so child identity is
-    // pointer identity.
-    for (IdxExpr::Ptr E : IdxTable[H])
-      if (E->kind() == IdxExpr::Kind::Bin && E->op() == Op &&
-          E->lhs() == Lhs && E->rhs() == Rhs) {
-        ++Counters.IdxHits;
-        return E;
-      }
-  }
+  // Operands of interned expressions are canonical, so child identity is
+  // pointer identity.
+  std::vector<IdxExpr::Ptr> &Bucket = IdxTable[H];
+  for (IdxExpr::Ptr E : Bucket)
+    if (E->kind() == IdxExpr::Kind::Bin && E->op() == Op && E->lhs() == Lhs &&
+        E->rhs() == Rhs) {
+      ++Counters.IdxHits;
+      return E;
+    }
   IdxExpr *E = newIdx();
   E->K = IdxExpr::Kind::Bin;
   E->Op = Op;
@@ -98,28 +91,23 @@ IdxExpr::Ptr LockInterner::idxBin(IntBinOp Op, IdxExpr::Ptr Lhs,
   E->VarMask = Lhs->varMask() | Rhs->varMask();
   E->Sz = 1 + Lhs->size() + Rhs->size();
   E->H = H;
-  E->Shared = Share;
   ++Counters.IdxNodes;
-  if (Share)
-    IdxTable[H].push_back(E);
+  Bucket.push_back(E);
   return E;
 }
 
 const LockPathNode *LockInterner::intern(const LockExpr &Path) {
   size_t H = Path.hash();
   std::lock_guard<std::mutex> Lock(Mu);
-  if (Share) {
-    for (const LockPathNode *N : PathTable[H])
-      if (N->Path == Path) {
-        ++Counters.PathHits;
-        return N;
-      }
-  }
-  const LockPathNode *N =
-      Arena.create<LockPathNode>(Path, NextId++, H, Share);
+  std::vector<const LockPathNode *> &Bucket = PathTable[H];
+  for (const LockPathNode *N : Bucket)
+    if (N->Path == Path) {
+      ++Counters.PathHits;
+      return N;
+    }
+  const LockPathNode *N = Arena.create<LockPathNode>(Path, NextId++, H);
   ++Counters.PathNodes;
-  if (Share)
-    PathTable[H].push_back(N);
+  Bucket.push_back(N);
   return N;
 }
 

@@ -6,18 +6,13 @@
 ///
 /// \file
 /// The LockInterner is the single construction point for IdxExpr trees and
-/// interned lock paths (LockPathNode). In sharing mode (the default) it
-/// hash-conses: structurally equal index expressions come back as the same
-/// arena node, and structurally equal paths come back as the same
+/// interned lock paths (LockPathNode). It hash-conses: structurally equal
+/// index expressions come back as the same arena node, and structurally
+/// equal paths come back as the same
 /// LockPathNode carrying a dense 32-bit LockId. That makes LockName a
 /// small POD whose path equality is a pointer compare and whose hash is a
 /// field read, which is what lets the Fig.-4 transfer functions and the
 /// SCC summary maps scale to megaprograms.
-///
-/// With sharing off (used only by bench_mega's legacy toggle) every call
-/// allocates a fresh node with Shared=false, restoring the pre-refactor
-/// costs: deep structural hashing and comparison on every use, one
-/// allocation per construction.
 ///
 /// Thread-safe: one inference run shares a single interner across its
 /// worker pool; all mutation is serialized by an internal mutex. Interned
@@ -51,10 +46,6 @@ public:
     uint64_t hits() const { return IdxHits + PathHits; }
   };
 
-  explicit LockInterner(bool Share = true) : Share(Share) {}
-
-  bool sharing() const { return Share; }
-
   /// IdxExpr construction (replaces the old IdxExpr::make* factories).
   IdxExpr::Ptr idxConst(int64_t Value);
   IdxExpr::Ptr idxVar(const ir::Variable *Var);
@@ -68,7 +59,6 @@ public:
 private:
   IdxExpr *newIdx();
 
-  bool Share;
   mutable std::mutex Mu;
   support::BumpArena Arena;
 

@@ -79,21 +79,6 @@ static size_t hashCombine(size_t Seed, size_t Value) {
   return Seed ^ (Value + 0x9e3779b97f4a7c15ULL + (Seed << 6) + (Seed >> 2));
 }
 
-size_t IdxExpr::deepHash() const {
-  size_t H = static_cast<size_t>(K);
-  switch (K) {
-  case Kind::Const:
-    return hashCombine(H, static_cast<size_t>(Value));
-  case Kind::VarVal:
-    return hashCombine(H, reinterpret_cast<size_t>(Var));
-  case Kind::Bin:
-    H = hashCombine(H, static_cast<size_t>(Op));
-    H = hashCombine(H, Lhs->hash());
-    return hashCombine(H, Rhs->hash());
-  }
-  return H;
-}
-
 //===----------------------------------------------------------------------===//
 // LockOp / LockExpr
 //===----------------------------------------------------------------------===//

@@ -54,8 +54,8 @@ inline uint64_t varBit(const ir::Variable *V) {
 
 /// Immutable integer expression tree used in array-offset lock components.
 /// Nodes live in a LockInterner's arena and are shared by plain pointer;
-/// within one interner in sharing mode, structural equality coincides with
-/// pointer equality.
+/// within one interner, structural equality coincides with pointer
+/// equality.
 class IdxExpr {
 public:
   enum class Kind { Const, VarVal, Bin };
@@ -74,10 +74,8 @@ public:
   /// True if \p V appears as a VarVal leaf.
   bool mentionsVar(const ir::Variable *V) const;
   std::string str() const;
-  /// O(1) for hash-consed nodes; the bench's legacy (non-sharing) mode
-  /// recomputes the structural hash on every call, as the pre-interner
-  /// representation did.
-  size_t hash() const { return Shared ? H : deepHash(); }
+  /// Structural hash, folded at construction.
+  size_t hash() const { return H; }
   /// Bloom mask over the VarVal leaves (union of the children's masks,
   /// folded at construction).
   uint64_t varMask() const { return VarMask; }
@@ -86,10 +84,7 @@ private:
   friend class LockInterner;
   IdxExpr() = default;
 
-  size_t deepHash() const;
-
   Kind K = Kind::Const;
-  bool Shared = false; ///< canonical (hash-consed) node: H is valid
   unsigned Sz = 1;
   size_t H = 0;
   uint64_t VarMask = 0;
@@ -195,40 +190,34 @@ private:
 // Interned path flyweight
 //===----------------------------------------------------------------------===//
 
-/// Dense identity of an interned lock path, unique within one interner
-/// while sharing is on.
+/// Dense identity of an interned lock path, unique within one interner.
 using LockId = uint32_t;
 
-/// A lock path interned into a LockInterner's arena. In sharing mode there
-/// is one canonical node per distinct path, so LockName equality over
-/// paths is a pointer compare and Hash is read, not recomputed. In the
-/// bench's legacy mode every construction gets a fresh node with
-/// Shared=false, restoring the pre-refactor deep-compare/deep-hash costs.
+/// A lock path interned into a LockInterner's arena. There is one
+/// canonical node per distinct path, so LockName equality over paths is a
+/// pointer compare and Hash is read, not recomputed.
 struct LockPathNode {
   LockExpr Path;
   LockId Id = 0;
-  size_t Hash = 0; ///< == Path.hash(); valid only when Shared
-  /// Bloom mask of the variables the path reads; one fold per canonical
-  /// node in sharing mode, one per construction in legacy mode (as the
-  /// pre-refactor representation paid per check).
+  size_t Hash = 0; ///< == Path.hash()
+  /// Bloom mask of the variables the path reads, folded once per node.
   uint64_t VarMask = 0;
-  bool Shared = false;
 
-  LockPathNode(LockExpr P, LockId Id, size_t Hash, bool Shared)
-      : Path(std::move(P)), Id(Id), Hash(Hash), VarMask(Path.varMask()),
-        Shared(Shared) {}
+  LockPathNode(LockExpr P, LockId Id, size_t Hash)
+      : Path(std::move(P)), Id(Id), Hash(Hash), VarMask(Path.varMask()) {}
 
-  size_t hash() const { return Shared ? Hash : Path.hash(); }
+  size_t hash() const { return Hash; }
 };
 
 /// True if the two nodes denote the same path. Pointer equality settles it
-/// for canonical nodes; otherwise falls back to structural comparison.
+/// within one interner; nodes of two interners (e.g. a cached summary and
+/// a fresh run) differ by hash or else compare structurally.
 inline bool samePath(const LockPathNode *A, const LockPathNode *B) {
   if (A == B)
     return true;
   if (!A || !B)
     return false;
-  if (A->Shared && B->Shared && A->Hash != B->Hash)
+  if (A->Hash != B->Hash)
     return false;
   return A->Path == B->Path;
 }

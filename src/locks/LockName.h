@@ -31,9 +31,9 @@
 namespace lockin {
 
 /// A lock name is a small trivially-copyable value: kind, region, effect,
-/// and (for fine locks) a pointer to the interned path flyweight. With the
-/// interner in sharing mode path equality is a pointer compare and the
-/// path hash is a field read, so LockName equality/hash are O(1).
+/// and (for fine locks) a pointer to the interned path flyweight. Within
+/// one interner path equality is a pointer compare and the path hash is a
+/// field read, so LockName equality/hash are O(1).
 class LockName {
 public:
   enum class Kind { Top, Coarse, Fine };
@@ -57,7 +57,7 @@ public:
   Effect effect() const { return Eff; }
   const LockExpr &path() const { return Node->Path; }
   /// Dense interned-path identity (unique per distinct path within one
-  /// interner in sharing mode).
+  /// interner).
   LockId pathId() const { return Node->Id; }
 
   /// Conservative O(1) test: false means the path certainly does not read
@@ -86,8 +86,8 @@ public:
   bool operator==(const LockName &Other) const;
   size_t hash() const;
   /// Hash over the effect-ignoring identity (kind, region, path): equal for
-  /// any two names where sameLockIgnoringEffect holds. O(1) with interned
-  /// paths; structural on the bench's legacy representation.
+  /// any two names where sameLockIgnoringEffect holds. O(1): the path
+  /// hash is read from the interned node.
   size_t classHash() const;
   std::string str() const;
 

@@ -6,6 +6,8 @@
 
 #include "obs/Log.h"
 
+#include "support/JsonString.h"
+
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -41,21 +43,6 @@ bool obs::parseLogLevel(std::string_view Text, LogLevel &Out) {
 
 namespace {
 
-void jsonEscape(std::string &Out, std::string_view S) {
-  for (char C : S) {
-    if (C == '"' || C == '\\') {
-      Out += '\\';
-      Out += C;
-    } else if (static_cast<unsigned char>(C) < 0x20) {
-      char Buf[8];
-      std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-      Out += Buf;
-    } else {
-      Out += C;
-    }
-  }
-}
-
 uint64_t wallUs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -72,9 +59,8 @@ LogEvent::LogEvent(Logger *Owner, LogLevel Level, std::string_view Event)
   std::snprintf(Head, sizeof(Head), "{\"ts_us\": %" PRIu64 ", \"level\": \"%s\"",
                 wallUs(), logLevelName(Level));
   Buf += Head;
-  Buf += ", \"event\": \"";
-  jsonEscape(Buf, Event);
-  Buf += '"';
+  Buf += ", \"event\": ";
+  support::appendJsonString(Buf, Event);
 }
 
 LogEvent::~LogEvent() {
@@ -85,18 +71,16 @@ LogEvent::~LogEvent() {
 }
 
 void LogEvent::key(std::string_view Key) {
-  Buf += ", \"";
-  jsonEscape(Buf, Key);
-  Buf += "\": ";
+  Buf += ", ";
+  support::appendJsonString(Buf, Key);
+  Buf += ": ";
 }
 
 LogEvent &LogEvent::str(std::string_view Key, std::string_view Value) {
   if (!L)
     return *this;
   key(Key);
-  Buf += '"';
-  jsonEscape(Buf, Value);
-  Buf += '"';
+  support::appendJsonString(Buf, Value);
   return *this;
 }
 

@@ -6,6 +6,8 @@
 
 #include "obs/RequestTelemetry.h"
 
+#include "support/JsonString.h"
+
 #include <cinttypes>
 #include <cstdio>
 
@@ -77,25 +79,6 @@ uint64_t FlightRecorder::recorded() const {
   return Written;
 }
 
-namespace {
-
-void jsonEscape(std::string &Out, std::string_view S) {
-  for (char C : S) {
-    if (C == '"' || C == '\\') {
-      Out += '\\';
-      Out += C;
-    } else if (static_cast<unsigned char>(C) < 0x20) {
-      char Buf[8];
-      std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-      Out += Buf;
-    } else {
-      Out += C;
-    }
-  }
-}
-
-} // namespace
-
 void FlightRecorder::appendJson(std::string &Out,
                                 const FlightRecord &R) const {
   char Buf[160];
@@ -104,15 +87,15 @@ void FlightRecorder::appendJson(std::string &Out,
                 ", \"total_ns\": %" PRIu64,
                 R.Id, R.StartNs, R.TotalNs);
   Out += Buf;
-  Out += ", \"op\": \"";
-  jsonEscape(Out, R.Op);
-  Out += "\", \"unit\": \"";
-  jsonEscape(Out, R.Unit);
-  Out += "\", \"peer\": \"";
-  jsonEscape(Out, R.Peer);
-  Out += "\", \"outcome\": \"";
-  jsonEscape(Out, R.Outcome);
-  Out += "\", \"phases_ns\": {";
+  Out += ", \"op\": ";
+  support::appendJsonString(Out, R.Op);
+  Out += ", \"unit\": ";
+  support::appendJsonString(Out, R.Unit);
+  Out += ", \"peer\": ";
+  support::appendJsonString(Out, R.Peer);
+  Out += ", \"outcome\": ";
+  support::appendJsonString(Out, R.Outcome);
+  Out += ", \"phases_ns\": {";
   for (unsigned I = 0; I < kNumReqPhases; ++I) {
     std::snprintf(Buf, sizeof(Buf), "%s\"%s\": %" PRIu64, I ? ", " : "",
                   reqPhaseName(static_cast<ReqPhase>(I)), R.PhaseNs[I]);

@@ -8,6 +8,7 @@
 
 #include "obs/RequestTelemetry.h"
 #include "runtime/Mode.h"
+#include "support/JsonString.h"
 
 #include <bit>
 #include <cinttypes>
@@ -110,21 +111,6 @@ void Tracer::clear() {
 
 namespace {
 
-void jsonEscape(std::string &Out, std::string_view S) {
-  for (char C : S) {
-    if (C == '"' || C == '\\') {
-      Out += '\\';
-      Out += C;
-    } else if (static_cast<unsigned char>(C) < 0x20) {
-      char Buf[8];
-      std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-      Out += Buf;
-    } else {
-      Out += C;
-    }
-  }
-}
-
 bool isSimKind(EventKind K) {
   return K == EventKind::SimOpSpan || K == EventKind::SimWaitSpan ||
          K == EventKind::SimAbort;
@@ -199,10 +185,7 @@ void Tracer::writeChromeJson(std::ostream &OS) const {
         Args = Buf;
         break;
       case EventKind::PassSpan:
-        if (E.A < Names.size())
-          jsonEscape(Name, Names[E.A]);
-        else
-          Name = "pass";
+        Name = E.A < Names.size() ? Names[E.A] : "pass";
         Args = "{}";
         break;
       case EventKind::StepsCount:
@@ -243,9 +226,9 @@ void Tracer::writeChromeJson(std::ostream &OS) const {
         break;
       }
       }
-      std::string Out = "{\"name\": \"";
-      Out += Name;
-      Out += "\", \"ph\": \"";
+      std::string Out = "{\"name\": ";
+      support::appendJsonString(Out, Name);
+      Out += ", \"ph\": \"";
       if (E.Kind == EventKind::StepsCount) {
         std::snprintf(Buf, sizeof(Buf),
                       "C\", \"ts\": %.3f, \"pid\": %u, \"tid\": %" PRIu32

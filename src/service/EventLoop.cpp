@@ -16,22 +16,17 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#if defined(__linux__)
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
-#define LOCKIN_HAVE_EPOLL 1
-#endif
+#include <sys/socket.h>
+#include <unistd.h>
 
 using namespace lockin;
 using namespace lockin::service;
 
 namespace {
 
-/// Poller key reserved for the wakeup fd.
+/// epoll key reserved for the wakeup fd.
 constexpr uint64_t kWakeKey = ~0ull;
 
 void setNonBlocking(int Fd) {
@@ -40,121 +35,18 @@ void setNonBlocking(int Fd) {
     ::fcntl(Fd, F_SETFL, Flags | O_NONBLOCK);
 }
 
+/// Registers (EPOLL_CTL_ADD) or updates (EPOLL_CTL_MOD) the level-triggered
+/// interest of \p Fd under \p Key.
+void watch(int EpollFd, int Op, int Fd, uint64_t Key, bool WantRead,
+           bool WantWrite) {
+  epoll_event Ev{};
+  Ev.events =
+      (WantRead ? (EPOLLIN | EPOLLRDHUP) : 0u) | (WantWrite ? EPOLLOUT : 0u);
+  Ev.data.u64 = Key;
+  ::epoll_ctl(EpollFd, Op, Fd, &Ev);
+}
+
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// Poller
-//===----------------------------------------------------------------------===//
-
-bool EventLoop::Poller::init(bool UsePoll, std::string &Err) {
-  (void)Err;
-#if LOCKIN_HAVE_EPOLL
-  if (!UsePoll) {
-    EpollFd = ::epoll_create1(EPOLL_CLOEXEC);
-    if (EpollFd >= 0)
-      return true;
-    // Fall through to the poll() backend — epoll is an optimization, not
-    // a requirement.
-  }
-#else
-  (void)UsePoll;
-#endif
-  EpollFd = -1;
-  return true;
-}
-
-void EventLoop::Poller::close() {
-#if LOCKIN_HAVE_EPOLL
-  if (EpollFd >= 0) {
-    ::close(EpollFd);
-    EpollFd = -1;
-  }
-#endif
-  Fallback.clear();
-}
-
-void EventLoop::Poller::add(int Fd, uint64_t Key, bool WantRead,
-                            bool WantWrite, bool Et) {
-#if LOCKIN_HAVE_EPOLL
-  if (EpollFd >= 0) {
-    epoll_event Ev{};
-    Ev.events = (WantRead ? (EPOLLIN | EPOLLRDHUP) : 0u) |
-                (WantWrite ? EPOLLOUT : 0u) | (Et ? EPOLLET : 0u);
-    Ev.data.u64 = Key;
-    ::epoll_ctl(EpollFd, EPOLL_CTL_ADD, Fd, &Ev);
-    return;
-  }
-#endif
-  (void)Et;
-  Fallback[Key] = Watched{Fd, WantRead, WantWrite};
-}
-
-void EventLoop::Poller::mod(int Fd, uint64_t Key, bool WantRead,
-                            bool WantWrite, bool Et) {
-#if LOCKIN_HAVE_EPOLL
-  if (EpollFd >= 0) {
-    epoll_event Ev{};
-    Ev.events = (WantRead ? (EPOLLIN | EPOLLRDHUP) : 0u) |
-                (WantWrite ? EPOLLOUT : 0u) | (Et ? EPOLLET : 0u);
-    Ev.data.u64 = Key;
-    ::epoll_ctl(EpollFd, EPOLL_CTL_MOD, Fd, &Ev);
-    return;
-  }
-#endif
-  (void)Et;
-  Fallback[Key] = Watched{Fd, WantRead, WantWrite};
-}
-
-void EventLoop::Poller::del(int Fd, uint64_t Key) {
-#if LOCKIN_HAVE_EPOLL
-  if (EpollFd >= 0) {
-    ::epoll_ctl(EpollFd, EPOLL_CTL_DEL, Fd, nullptr);
-    return;
-  }
-#endif
-  (void)Fd;
-  Fallback.erase(Key);
-}
-
-int EventLoop::Poller::wait(std::vector<Ev> &Out, int TimeoutMs) {
-  Out.clear();
-#if LOCKIN_HAVE_EPOLL
-  if (EpollFd >= 0) {
-    epoll_event Evs[64];
-    int N = ::epoll_wait(EpollFd, Evs, 64, TimeoutMs);
-    if (N < 0)
-      return errno == EINTR ? 0 : -1;
-    for (int I = 0; I < N; ++I) {
-      uint32_t E = Evs[I].events;
-      Out.push_back(Ev{Evs[I].data.u64,
-                       (E & (EPOLLIN | EPOLLRDHUP | EPOLLHUP)) != 0,
-                       (E & EPOLLOUT) != 0, (E & EPOLLERR) != 0});
-    }
-    return N;
-  }
-#endif
-  std::vector<pollfd> Fds;
-  std::vector<uint64_t> Keys;
-  Fds.reserve(Fallback.size());
-  Keys.reserve(Fallback.size());
-  for (const auto &[Key, W] : Fallback) {
-    short Events = static_cast<short>((W.WantRead ? POLLIN : 0) |
-                                      (W.WantWrite ? POLLOUT : 0));
-    Fds.push_back(pollfd{W.Fd, Events, 0});
-    Keys.push_back(Key);
-  }
-  int N = ::poll(Fds.data(), Fds.size(), TimeoutMs);
-  if (N < 0)
-    return errno == EINTR ? 0 : -1;
-  for (size_t I = 0; I < Fds.size(); ++I) {
-    short R = Fds[I].revents;
-    if (!R)
-      continue;
-    Out.push_back(Ev{Keys[I], (R & (POLLIN | POLLHUP)) != 0,
-                     (R & POLLOUT) != 0, (R & (POLLERR | POLLNVAL)) != 0});
-  }
-  return static_cast<int>(Out.size());
-}
 
 //===----------------------------------------------------------------------===//
 // EventLoop
@@ -166,33 +58,25 @@ EventLoop::EventLoop(Config C, EventLoopHandler &H)
 EventLoop::~EventLoop() {
   if (Thread.joinable())
     Thread.join();
-  P.close();
-  if (WakeWriteFd >= 0 && WakeWriteFd != WakeFd)
-    ::close(WakeWriteFd);
+  if (EpollFd >= 0)
+    ::close(EpollFd);
   if (WakeFd >= 0)
     ::close(WakeFd);
 }
 
 bool EventLoop::start(std::string &Err) {
-  if (!P.init(Cfg.UsePoll, Err))
+  EpollFd = ::epoll_create1(EPOLL_CLOEXEC);
+  if (EpollFd < 0) {
+    Err = std::string("epoll_create1: ") + std::strerror(errno);
     return false;
-#if LOCKIN_HAVE_EPOLL
-  WakeFd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-  WakeWriteFd = WakeFd;
-#endif
-  if (WakeFd < 0) {
-    int Pipe[2];
-    if (::pipe(Pipe) != 0) {
-      Err = std::string("pipe: ") + std::strerror(errno);
-      return false;
-    }
-    setNonBlocking(Pipe[0]);
-    setNonBlocking(Pipe[1]);
-    WakeFd = Pipe[0];
-    WakeWriteFd = Pipe[1];
   }
-  P.add(WakeFd, kWakeKey, /*WantRead=*/true, /*WantWrite=*/false,
-        /*Et=*/false);
+  WakeFd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  if (WakeFd < 0) {
+    Err = std::string("eventfd: ") + std::strerror(errno);
+    return false;
+  }
+  watch(EpollFd, EPOLL_CTL_ADD, WakeFd, kWakeKey, /*WantRead=*/true,
+        /*WantWrite=*/false);
   Thread = std::thread([this] { run(); });
   return true;
 }
@@ -204,7 +88,7 @@ void EventLoop::join() {
 
 void EventLoop::wake() {
   uint64_t One = 1;
-  (void)!::write(WakeWriteFd, &One, sizeof(One));
+  (void)!::write(WakeFd, &One, sizeof(One));
 }
 
 void EventLoop::adoptConnection(int Fd, std::string Peer) {
@@ -250,11 +134,13 @@ void EventLoop::beginDrain() {
 }
 
 void EventLoop::run() {
-  std::vector<Poller::Ev> Evs;
+  epoll_event Evs[64];
   while (!(Draining && Conns.empty())) {
-    int N = P.wait(Evs, pollTimeoutMs(obs::nowNs()));
+    int N = ::epoll_wait(EpollFd, Evs, 64, pollTimeoutMs(obs::nowNs()));
+    if (N < 0 && errno == EINTR)
+      N = 0;
     if (N < 0) {
-      // Poller broke (can only mean corrupted fd state); bail rather
+      // epoll broke (can only mean corrupted fd state); bail rather
       // than spin — the daemon's drain will still join this thread.
       if constexpr (obs::kEnabled)
         obs::log()
@@ -273,8 +159,8 @@ void EventLoop::run() {
     // while its response stays queued — and with every thread then idle,
     // nothing ever flushes it. Drained first, a post-swap wake leaves the
     // eventfd readable and the next wait() returns immediately.
-    for (const Poller::Ev &Ev : Evs) {
-      if (Ev.Key == kWakeKey) {
+    for (int I = 0; I < N; ++I) {
+      if (Evs[I].data.u64 == kWakeKey) {
         char Buf[64];
         while (::read(WakeFd, Buf, sizeof(Buf)) > 0)
           ;
@@ -282,23 +168,25 @@ void EventLoop::run() {
       }
     }
     drainControl();
-    for (const Poller::Ev &Ev : Evs) {
-      if (Ev.Key == kWakeKey)
+    for (int I = 0; I < N; ++I) {
+      uint64_t Key = Evs[I].data.u64;
+      uint32_t E = Evs[I].events;
+      if (Key == kWakeKey)
         continue;
-      auto It = Conns.find(Ev.Key);
+      auto It = Conns.find(Key);
       if (It == Conns.end())
         continue; // closed earlier this iteration
       Conn &C = *It->second;
-      if (Ev.Error) {
+      if (E & EPOLLERR) {
         abortConn(C, "socket error");
         continue;
       }
-      if (Ev.Writable) {
+      if (E & EPOLLOUT) {
         writeOut(C);
-        if (Conns.find(Ev.Key) == Conns.end())
+        if (Conns.find(Key) == Conns.end())
           continue; // writeOut closed it
       }
-      if (Ev.Readable)
+      if (E & (EPOLLIN | EPOLLRDHUP | EPOLLHUP))
         readable(C);
     }
     sweepReadDeadlines(obs::nowNs());
@@ -393,16 +281,12 @@ void EventLoop::addConn(int Fd, std::string Peer) {
   C->Id = NextConnId++;
   C->Peer = std::move(Peer);
   C->LastReadNs = obs::nowNs();
-  P.add(Fd, C->Id, /*WantRead=*/true, /*WantWrite=*/false,
-        Cfg.EdgeTriggered);
+  // Level-triggered: bytes the client wrote before this ADD are reported
+  // by the next epoll_wait.
+  watch(EpollFd, EPOLL_CTL_ADD, Fd, C->Id, /*WantRead=*/true,
+        /*WantWrite=*/false);
   uint64_t Id = C->Id;
   Conns.emplace(Id, std::move(C));
-  // A client may have written its first request before the adopt message
-  // reached us; with edge-triggered epoll that edge predates ADD, so probe
-  // once instead of waiting for an edge that already fired.
-  auto It = Conns.find(Id);
-  if (It != Conns.end())
-    readable(*It->second);
 }
 
 void EventLoop::applyResponse(Response R) {
@@ -450,7 +334,10 @@ void EventLoop::readable(Conn &C) {
         Fatal = true;
         break;
       }
-      continue; // until EAGAIN — required under EPOLLET
+      // Until EAGAIN: one wakeup takes a pipelined burst (or a frame
+      // larger than Buf) in full, so its frames dispatch as one batch
+      // instead of costing an epoll_wait round trip per read.
+      continue;
     }
     if (N == 0) {
       Eof = true;
@@ -617,14 +504,14 @@ void EventLoop::closeConn(Conn &C) {
     obs::log()
         .event(obs::LogLevel::Debug, "service.disconnect")
         .str("peer", C.Peer);
-  P.del(C.Fd, C.Id);
+  ::epoll_ctl(EpollFd, EPOLL_CTL_DEL, C.Fd, nullptr);
   ::close(C.Fd);
   Conns.erase(C.Id); // destroys C — callers must not touch it again
 }
 
 void EventLoop::updateInterest(Conn &C) {
-  P.mod(C.Fd, C.Id, /*WantRead=*/!C.ReadClosed, C.WantWrite,
-        Cfg.EdgeTriggered);
+  watch(EpollFd, EPOLL_CTL_MOD, C.Fd, C.Id, /*WantRead=*/!C.ReadClosed,
+        C.WantWrite);
 }
 
 void EventLoop::sweepReadDeadlines(uint64_t NowNs) {

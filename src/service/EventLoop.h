@@ -6,8 +6,7 @@
 ///
 /// \file
 /// The daemon's async service tier: N event-loop threads, each owning an
-/// epoll instance (or a poll() fallback where epoll is unavailable or
-/// when ServerOptions asks for it), a wakeup fd, and a set of
+/// level-triggered epoll instance, an eventfd for wakeups, and a set of
 /// non-blocking connections. The accept thread hands fresh sockets to a
 /// loop round-robin; from then on every byte of that connection is read,
 /// assembled (service/Protocol.h FrameAssembler), dispatched, and written
@@ -105,8 +104,6 @@ public:
   struct Config {
     unsigned Index = 0;        ///< loop number, for logs
     unsigned ReadTimeoutMs = 0; ///< mid-frame read deadline; 0 = off
-    bool EdgeTriggered = false; ///< EPOLLET (epoll backend only)
-    bool UsePoll = false;       ///< force the poll() fallback backend
     std::shared_ptr<FaultInjector> Faults;
   };
 
@@ -127,7 +124,7 @@ public:
   EventLoop(const EventLoop &) = delete;
   EventLoop &operator=(const EventLoop &) = delete;
 
-  /// Creates the poller + wakeup fd and spawns the loop thread.
+  /// Creates the epoll instance + wakeup fd and spawns the loop thread.
   bool start(std::string &Err);
   /// Joins the loop thread (returns after drain completes).
   void join();
@@ -187,35 +184,6 @@ private:
     uint64_t LastReadNs = 0;
   };
 
-  /// Backend-neutral readiness poller: epoll on Linux, poll() elsewhere
-  /// or when Config::UsePoll forces the fallback.
-  class Poller {
-  public:
-    struct Ev {
-      uint64_t Key;
-      bool Readable;
-      bool Writable;
-      bool Error;
-    };
-    bool init(bool UsePoll, std::string &Err);
-    void close();
-    bool usingEpoll() const { return EpollFd >= 0; }
-    void add(int Fd, uint64_t Key, bool WantRead, bool WantWrite, bool Et);
-    void mod(int Fd, uint64_t Key, bool WantRead, bool WantWrite, bool Et);
-    void del(int Fd, uint64_t Key);
-    /// Fills \p Out; returns the event count, 0 on timeout, -1 on error.
-    int wait(std::vector<Ev> &Out, int TimeoutMs);
-
-  private:
-    int EpollFd = -1;
-    struct Watched {
-      int Fd;
-      bool WantRead;
-      bool WantWrite;
-    };
-    std::unordered_map<uint64_t, Watched> Fallback; ///< poll() backend
-  };
-
   void run();
   void wake();
   void drainControl();
@@ -236,11 +204,10 @@ private:
 
   Config Cfg;
   EventLoopHandler &Handler;
-  Poller P;
   std::thread Thread;
 
-  int WakeFd = -1;      ///< eventfd, or pipe read end
-  int WakeWriteFd = -1; ///< == WakeFd for eventfd; pipe write end otherwise
+  int EpollFd = -1; ///< keys are connection ids; kWakeKey is WakeFd
+  int WakeFd = -1;  ///< eventfd
 
   std::unordered_map<uint64_t, std::unique_ptr<Conn>> Conns;
   uint64_t NextConnId = 1;

@@ -15,45 +15,6 @@
 using namespace lockin;
 using namespace lockin::service;
 
-void lockin::service::appendJsonString(std::string &Out,
-                                       std::string_view S) {
-  Out += '"';
-  for (unsigned char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\b':
-      Out += "\\b";
-      break;
-    case '\f':
-      Out += "\\f";
-      break;
-    default:
-      if (C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += static_cast<char>(C);
-      }
-    }
-  }
-  Out += '"';
-}
-
 void Json::write(std::string &Out) const {
   switch (K) {
   case Kind::Null:

@@ -20,6 +20,8 @@
 #ifndef LOCKIN_SERVICE_JSON_H
 #define LOCKIN_SERVICE_JSON_H
 
+#include "support/JsonString.h"
+
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -173,8 +175,9 @@ private:
   std::vector<std::pair<std::string, Json>> Members;
 };
 
-/// Escapes \p S as a JSON string literal (with quotes) into \p Out.
-void appendJsonString(std::string &Out, std::string_view S);
+/// The protocol writes strings with the shared escaper; callers outside
+/// the service (lockbench) reach it by this name too.
+using support::appendJsonString;
 
 } // namespace service
 } // namespace lockin

@@ -173,8 +173,6 @@ bool Server::start(std::string &Err) {
       EventLoop::Config C;
       C.Index = I;
       C.ReadTimeoutMs = Opts.ReadTimeoutMs;
-      C.EdgeTriggered = Opts.EdgeTriggered;
-      C.UsePoll = Opts.UsePollBackend;
       C.Faults = Opts.Faults;
       auto L = std::make_unique<EventLoop>(std::move(C), *this);
       if (!L->start(Err)) {

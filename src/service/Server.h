@@ -112,10 +112,6 @@ struct ServerOptions {
   /// and burst size.
   double AcceptRate = 0.0;
   unsigned AcceptBurst = 64;
-  /// EPOLLET instead of level-triggered (EventLoop model, epoll backend).
-  bool EdgeTriggered = false;
-  /// Force the poll() fallback backend even where epoll is available.
-  bool UsePollBackend = false;
   /// Test-only syscall fault injection for the event loops.
   std::shared_ptr<FaultInjector> Faults;
 };

@@ -1,0 +1,31 @@
+//===--- JsonString.h - JSON string literal escaping ------------*- C++ -*-===//
+//
+// Part of the lockin project: lock inference for atomic sections.
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// The one JSON string escaper every writer uses: checker reports, the
+/// structured log, the flight recorder, Chrome traces and the service
+/// protocol. Quotes and backslashes are escaped; \n \r \t \b \f use their
+/// short forms; other control characters become \u00XX; every other byte
+/// (UTF-8 included) is copied as is.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef LOCKIN_SUPPORT_JSONSTRING_H
+#define LOCKIN_SUPPORT_JSONSTRING_H
+
+#include <string>
+#include <string_view>
+
+namespace lockin {
+namespace support {
+
+/// Escapes \p S as a JSON string literal (with quotes) into \p Out.
+void appendJsonString(std::string &Out, std::string_view S);
+
+} // namespace support
+} // namespace lockin
+
+#endif // LOCKIN_SUPPORT_JSONSTRING_H

@@ -53,7 +53,6 @@ TEST_F(InterningTest, SameStructureSameNodeAndId) {
   const LockPathNode *N2 = IN.intern(pathAN());
   EXPECT_EQ(N1, N2) << "hash-consing must canonicalize equal structures";
   EXPECT_EQ(N1->Id, N2->Id);
-  EXPECT_TRUE(N1->Shared);
   EXPECT_EQ(IN.stats().PathNodes, 1u);
   EXPECT_EQ(IN.stats().PathHits, 1u);
 
@@ -72,16 +71,23 @@ TEST_F(InterningTest, IdxExprHashConsing) {
   EXPECT_EQ(IN.stats().IdxHits, 3u) << "leaf, leaf, bin";
 }
 
-TEST_F(InterningTest, LegacyModeAllocatesFreshEquivalentNodes) {
-  LockInterner IN(/*Share=*/false);
-  const LockPathNode *N1 = IN.intern(pathAN());
-  const LockPathNode *N2 = IN.intern(pathAN());
-  EXPECT_NE(N1, N2) << "sharing off: one node per construction";
-  EXPECT_FALSE(N1->Shared);
-  EXPECT_TRUE(samePath(N1, N2)) << "structural equality is representation-"
-                                   "independent";
+TEST_F(InterningTest, SeparateInternersCompareStructurally) {
+  // Two interners (e.g. a cached summary's and a fresh run's) each build
+  // their own canonical node for one path, index expression included.
+  LockInterner IN1, IN2;
+  auto Build = [&](LockInterner &IN) {
+    return pathAN().plusDeref().plusIndex(
+        IN.idxBin(IntBinOp::Rem, IN.idxVar(var("i")), IN.idxConst(16)));
+  };
+  LockExpr P1 = Build(IN1), P2 = Build(IN2);
+  const LockPathNode *N1 = IN1.intern(P1);
+  const LockPathNode *N2 = IN2.intern(P2);
+  EXPECT_NE(N1, N2) << "each interner owns its nodes";
+  EXPECT_TRUE(samePath(N1, N2)) << "structural equality crosses interners";
+  EXPECT_EQ(N1->hash(), P1.hash());
+  EXPECT_EQ(N2->hash(), P2.hash());
   EXPECT_EQ(N1->hash(), N2->hash());
-  EXPECT_EQ(IN.stats().PathHits, 0u);
+  EXPECT_FALSE(samePath(N1, IN2.intern(pathAN())));
 }
 
 TEST_F(InterningTest, CrossThreadInterningIsCanonical) {

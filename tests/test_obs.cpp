@@ -20,6 +20,7 @@
 #include "obs/RequestTelemetry.h"
 #include "obs/Trace.h"
 #include "runtime/LockRuntime.h"
+#include "service/Json.h"
 
 #include <gtest/gtest.h>
 
@@ -512,6 +513,34 @@ TEST(Log, StructuredLinesAndLevels) {
   L.event(LogLevel::Error, "test.off");
   EXPECT_EQ(L.lines(), 1u);
   EXPECT_FALSE(L.enabled(LogLevel::Error));
+
+  L.setSink(nullptr);
+  std::fclose(Sink);
+}
+
+TEST(Log, EscapedValuesRoundTripThroughJsonParser) {
+  std::FILE *Sink = std::tmpfile();
+  ASSERT_NE(Sink, nullptr);
+  Logger L;
+  L.setSink(Sink);
+
+  // Quotes, backslashes, every short-form escape and two control
+  // characters that need \u00XX, in both a key and a value.
+  const std::string Value = std::string("say \"hi\" C:\\tmp\n\r\t\b\f") +
+                            '\x01' + '\x1f' + " end";
+  const std::string Key = "k\"\\\n";
+  L.event(LogLevel::Info, "test.escape\n").str(Key, Value);
+
+  std::string Text = readSink(Sink);
+  ASSERT_FALSE(Text.empty());
+  ASSERT_EQ(Text.back(), '\n');
+  std::string Line = Text.substr(0, Text.size() - 1);
+  EXPECT_EQ(Line.find('\n'), std::string::npos) << "raw newline in a line";
+  service::Json Doc;
+  std::string Err;
+  ASSERT_TRUE(service::Json::parse(Line, Doc, Err)) << Err << "\n" << Line;
+  EXPECT_EQ(Doc.getString("event", ""), "test.escape\n");
+  EXPECT_EQ(Doc.getString(Key, ""), Value);
 
   L.setSink(nullptr);
   std::fclose(Sink);

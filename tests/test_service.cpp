@@ -36,8 +36,10 @@
 
 #include <atomic>
 #include <csignal>
+#include <cstring>
 #include <string>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <thread>
 #include <unistd.h>
 #include <vector>
@@ -684,37 +686,45 @@ TEST(Server, BackpressureAnswersOverloaded) {
   RunningServer RS(Opts);
   ASSERT_TRUE(RS.Started);
 
+  // Four analyze frames in one pipelined burst on one connection. The
+  // loop thread dispatches them back to back, microseconds apart; the
+  // first always finds the queue empty, and one worker cannot finish two
+  // multi-millisecond analyses inside that window, so with one queue slot
+  // at least one later frame must be told "overloaded". No sleeps, no
+  // racing client threads.
   std::string Slow = slowProgram(8, 8);
-  std::atomic<unsigned> OkCount{0}, OverloadedCount{0};
-  std::vector<std::thread> Clients;
-  // First client warms the worker, then the rest race for one queue slot
-  // at the same instant — their dispatch skew (microseconds) is far
-  // smaller than even a fully cache-warm analyze, so one lands on the
-  // worker, one takes the queue slot, and at least one must be told
-  // "overloaded". Nobody hangs.
+  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(Fd, 0);
+  sockaddr_un Addr{};
+  Addr.sun_family = AF_UNIX;
+  std::strncpy(Addr.sun_path, Path.c_str(), sizeof(Addr.sun_path) - 1);
+  ASSERT_EQ(::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)),
+            0);
+  std::string Burst;
+  for (unsigned I = 0; I < 4; ++I)
+    appendFrame(Burst,
+                analyzeRequest("slow" + std::to_string(I) + ".atom", Slow)
+                    .str());
+  ASSERT_EQ(::send(Fd, Burst.data(), Burst.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(Burst.size()));
+
+  unsigned OkCount = 0, OverloadedCount = 0;
   for (unsigned I = 0; I < 4; ++I) {
-    Clients.emplace_back([&, I] {
-      if (I > 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(30));
-      Client C;
-      std::string Err;
-      ASSERT_TRUE(C.connectUnix(Path, Err)) << Err;
-      Json Resp;
-      ASSERT_TRUE(C.call(
-          analyzeRequest("slow" + std::to_string(I) + ".atom", Slow), Resp,
-          Err))
-          << Err;
-      if (Resp.getBool("ok", false))
-        OkCount.fetch_add(1);
-      else if (Resp.getString("error", "") == "overloaded")
-        OverloadedCount.fetch_add(1);
-    });
+    Json Resp;
+    std::string Err;
+    ASSERT_EQ(readJson(Fd, Resp, Err), 1) << Err;
+    if (Resp.getBool("ok", false))
+      ++OkCount;
+    else if (Resp.getString("error", "") == "overloaded")
+      ++OverloadedCount;
+    if (I == 0) {
+      EXPECT_TRUE(Resp.getBool("ok", false)) << Resp.getString("error", "");
+    }
   }
-  for (std::thread &T : Clients)
-    T.join();
-  EXPECT_GE(OkCount.load(), 1u);
-  EXPECT_GE(OverloadedCount.load(), 1u);
-  EXPECT_EQ(OkCount.load() + OverloadedCount.load(), 4u);
+  ::close(Fd);
+  EXPECT_GE(OkCount, 1u);
+  EXPECT_GE(OverloadedCount, 1u);
+  EXPECT_EQ(OkCount + OverloadedCount, 4u);
 
   if constexpr (obs::kEnabled) {
     // Every rejection left an "overloaded" flight record carrying the
@@ -734,7 +744,7 @@ TEST(Server, BackpressureAnswersOverloaded) {
         ASSERT_NE(Phases, nullptr);
         EXPECT_GT(Phases->getUint("queue", 0), 0u);
       }
-    EXPECT_EQ(OverloadRecords, OverloadedCount.load());
+    EXPECT_EQ(OverloadRecords, OverloadedCount);
   }
 }
 
