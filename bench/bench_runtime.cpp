@@ -39,6 +39,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "obs/LockProfiler.h"
+#include "obs/Log.h"
 #include "obs/Metrics.h"
 #include "obs/Obs.h"
 #include "runtime/Adaptive.h"
@@ -444,6 +445,8 @@ bool emitJson(const std::vector<Result> &Results,
 } // namespace
 
 int main(int Argc, char **Argv) {
+  // Policy decisions are logged at info; keep them off the bench output.
+  obs::log().setLevel(obs::LogLevel::Warn);
   std::string OutPath = "BENCH_runtime.json";
   uint64_t Scale = 1;   // divide op counts, for smoke runs
   bool WithObs = false; // also measure instrumentation overhead

@@ -53,6 +53,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "obs/Log.h"
 #include "service/Client.h"
 #include "service/Json.h"
 #include "service/Protocol.h"
@@ -434,6 +435,8 @@ Json openLoopRateJson(const OpenLoopResult &R) {
 } // namespace
 
 int main(int Argc, char **Argv) {
+  // Policy decisions are logged at info; keep them off the bench output.
+  obs::log().setLevel(obs::LogLevel::Warn);
   bool Quick = false;
   std::string OutPath = "BENCH_service.json";
   for (int I = 1; I < Argc; ++I) {

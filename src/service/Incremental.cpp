@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 
 using namespace lockin;
 using namespace lockin::service;
@@ -37,21 +38,70 @@ AnalyzeOutcome timedOut() {
   return Out;
 }
 
-/// One section's identity within this compilation.
-struct SectionInfo {
-  const ir::IrFunction *Function = nullptr;
-  uint64_t Key = 0;
+/// Per-section results of a cache pass, indexed by section id.
+struct CachedSections {
+  std::vector<std::shared_ptr<const std::string>> LocksText;
+  std::vector<LockCensus> Censuses;
+  /// Section ids that were not resident, ascending.
+  std::vector<uint32_t> Misses;
+
+  explicit CachedSections(size_t N) : LocksText(N), Censuses(N) {}
+
+  /// Looks every key up (counting each hit or miss once in the cache).
+  void lookupAll(SummaryCache &Cache, const std::vector<uint64_t> &Keys) {
+    for (uint32_t Id = 0; Id < Keys.size(); ++Id) {
+      SectionSummary Hit;
+      if (Cache.lookup(Keys[Id], Hit)) {
+        LocksText[Id] = std::move(Hit.LocksText);
+        Censuses[Id] = Hit.Census;
+      } else {
+        Misses.push_back(Id);
+      }
+    }
+  }
 };
 
 } // namespace
+
+std::shared_ptr<const IncrementalAnalyzer::Snapshot>
+IncrementalAnalyzer::snapshotOf(const std::string &Unit) const {
+  std::lock_guard<std::mutex> Lock(SnapshotsMu);
+  auto It = Snapshots.find(Unit);
+  return It == Snapshots.end() ? nullptr : It->second;
+}
 
 AnalyzeOutcome IncrementalAnalyzer::analyze(const std::string &Unit,
                                             const std::string &Source,
                                             const AnalyzeParams &Params) {
   obs::RequestContext *Tel = obs::kEnabled ? Params.Telemetry : nullptr;
+  std::shared_ptr<const Snapshot> Prev = snapshotOf(Unit);
 
-  // Front half of the pipeline: always runs (content hashing needs the
-  // normalized IR, the region signature needs points-to).
+  // Identical resubmit: the section keys are a pure function of (source,
+  // k), so the snapshot's keys are the ones the full path would compute.
+  // If all are resident, the full path would hit every section and
+  // rebuild the stored report byte for byte; serve it instead. Otherwise
+  // the probe's hits carry over so no key is looked up twice.
+  std::optional<CachedSections> Probe;
+  if (Prev && !Params.Force && !Params.Run && !Params.Check &&
+      Prev->K == Params.K && Prev->Source == Source) {
+    obs::PhaseScope Scope(Tel, obs::ReqPhase::Analyze);
+    Probe.emplace(Prev->SectionKeys.size());
+    Probe->lookupAll(Cache, Prev->SectionKeys);
+    if (Probe->Misses.empty()) {
+      AnalyzeOutcome Out;
+      Out.Ok = true;
+      Out.Report = Prev->Report;
+      Out.Sections = Out.CacheHits =
+          static_cast<unsigned>(Prev->SectionKeys.size());
+      Out.FromSnapshot = true;
+      Out.HadSnapshot = true;
+      Resubmits.fetch_add(1, std::memory_order_relaxed);
+      return Out;
+    }
+  }
+
+  // Front half of the pipeline (content hashing needs the normalized IR,
+  // the region signature needs points-to).
   std::unique_ptr<Compilation> C;
   {
     obs::PhaseScope Scope(Tel, obs::ReqPhase::Parse);
@@ -78,13 +128,14 @@ AnalyzeOutcome IncrementalAnalyzer::analyze(const std::string &Unit,
   ModuleFingerprint FP(Module, CG, C->pointsTo());
 
   uint32_t NumSections = Module.numAtomicSections();
-  std::vector<SectionInfo> Sections(NumSections);
+  std::vector<const ir::IrFunction *> SectionFunctions(NumSections);
+  std::vector<uint64_t> Keys(NumSections);
   for (const auto &F : Module.functions()) {
     const auto &Atomics = F->atomicSections();
     for (unsigned Ord = 0; Ord < Atomics.size(); ++Ord) {
-      SectionInfo &Info = Sections[Atomics[Ord]->sectionId()];
-      Info.Function = F.get();
-      Info.Key = FP.sectionKey(F.get(), Ord, Params.K);
+      uint32_t Id = Atomics[Ord]->sectionId();
+      SectionFunctions[Id] = F.get();
+      Keys[Id] = FP.sectionKey(F.get(), Ord, Params.K);
     }
   }
 
@@ -92,29 +143,25 @@ AnalyzeOutcome IncrementalAnalyzer::analyze(const std::string &Unit,
   Out.Sections = NumSections;
 
   // Dirty-SCC accounting against the unit's previous snapshot.
-  {
-    std::lock_guard<std::mutex> Lock(SnapshotsMu);
-    auto It = Snapshots.find(Unit);
-    if (It != Snapshots.end()) {
-      Out.HadSnapshot = true;
-      std::vector<unsigned> Seeds;
-      for (unsigned I = 0; I < CG.numFunctions(); ++I) {
-        const ir::IrFunction *F = CG.function(I);
-        auto Old = It->second.FunctionHashes.find(F->name());
-        if (Old == It->second.FunctionHashes.end() ||
-            Old->second != FP.functionHash(I)) {
-          ++Out.DirtyFunctions;
-          Seeds.push_back(CG.sccOf(I));
-        }
+  if (Prev) {
+    Out.HadSnapshot = true;
+    std::vector<unsigned> Seeds;
+    for (unsigned I = 0; I < CG.numFunctions(); ++I) {
+      const ir::IrFunction *F = CG.function(I);
+      auto Old = Prev->FunctionHashes.find(F->name());
+      if (Old == Prev->FunctionHashes.end() ||
+          Old->second != FP.functionHash(I)) {
+        ++Out.DirtyFunctions;
+        Seeds.push_back(CG.sccOf(I));
       }
-      std::vector<char> Cone = CG.upwardClosure(Seeds);
-      for (char InCone : Cone)
-        if (InCone)
-          ++Out.DirtySccs;
-      for (uint32_t Id = 0; Id < NumSections; ++Id)
-        if (Cone[CG.sccOfFunction(Sections[Id].Function)])
-          Out.DirtyConeSections.push_back(Id);
     }
+    std::vector<char> Cone = CG.upwardClosure(Seeds);
+    for (char InCone : Cone)
+      if (InCone)
+        ++Out.DirtySccs;
+    for (uint32_t Id = 0; Id < NumSections; ++Id)
+      if (Cone[CG.sccOfFunction(SectionFunctions[Id])])
+        Out.DirtyConeSections.push_back(Id);
   }
   // Check-report cache: the report depends on every reachable body, the
   // region numbering, k, and the elision flag — exactly what the module
@@ -146,27 +193,26 @@ AnalyzeOutcome IncrementalAnalyzer::analyze(const std::string &Unit,
   if (Tel)
     Tel->end(obs::ReqPhase::Fingerprint);
 
-  std::vector<std::shared_ptr<const std::string>> LocksText(NumSections);
-  std::vector<LockCensus> Censuses(NumSections);
+  CachedSections Found =
+      Probe ? std::move(*Probe) : CachedSections(NumSections);
   {
     obs::PhaseScope Scope(Tel, obs::ReqPhase::Analyze);
 
     // Cache pass: a run request needs live LockSets for the interpreter,
     // and an uncached check needs the live InferenceResult — both take
-    // the uncached path (and refresh the cache).
-    bool BypassLookups = Params.Force || Params.Run || NeedChecker;
-    std::vector<uint32_t> Misses;
-    for (uint32_t Id = 0; Id < NumSections; ++Id) {
-      SectionSummary Hit;
-      if (!BypassLookups && Cache.lookup(Sections[Id].Key, Hit)) {
-        LocksText[Id] = std::move(Hit.LocksText);
-        Censuses[Id] = Hit.Census;
-        ++Out.CacheHits;
+    // the uncached path (and refresh the cache). A probed resubmit has
+    // already looked every key up.
+    if (!Probe) {
+      if (Params.Force || Params.Run || NeedChecker) {
+        for (uint32_t Id = 0; Id < NumSections; ++Id)
+          Found.Misses.push_back(Id);
       } else {
-        Misses.push_back(Id);
-        ++Out.CacheMisses;
+        Found.lookupAll(Cache, Keys);
       }
     }
+    const std::vector<uint32_t> &Misses = Found.Misses;
+    Out.CacheMisses = static_cast<unsigned>(Misses.size());
+    Out.CacheHits = NumSections - Out.CacheMisses;
 
     InferenceOptions InferOpts;
     InferOpts.K = Params.K;
@@ -181,9 +227,9 @@ AnalyzeOutcome IncrementalAnalyzer::analyze(const std::string &Unit,
         SectionSummary Summary;
         Summary.setText(Locks.str());
         Summary.Census = censusOf(Locks);
-        LocksText[Id] = Summary.LocksText;
-        Censuses[Id] = Summary.Census;
-        Cache.insert(Sections[Id].Key, std::move(Summary));
+        Found.LocksText[Id] = Summary.LocksText;
+        Found.Censuses[Id] = Summary.Census;
+        Cache.insert(Keys[Id], std::move(Summary));
         Out.Reanalyzed.push_back(Id);
       }
     };
@@ -246,7 +292,7 @@ AnalyzeOutcome IncrementalAnalyzer::analyze(const std::string &Unit,
 
   // Assemble the report — the exact shape of Compilation::report().
   Out.Report = ir::printIrModule(Module, [&](uint32_t SectionId) {
-    const auto &Text = LocksText[SectionId];
+    const auto &Text = Found.LocksText[SectionId];
     return Text ? *Text : std::string();
   });
   char Line[64];
@@ -256,14 +302,13 @@ AnalyzeOutcome IncrementalAnalyzer::analyze(const std::string &Unit,
     std::snprintf(Line, sizeof(Line), "%u", Id);
     Out.Report += Line;
     Out.Report += " in ";
-    Out.Report += Sections[Id].Function
-                      ? Sections[Id].Function->name()
-                      : std::string("?");
+    Out.Report += SectionFunctions[Id] ? SectionFunctions[Id]->name()
+                                       : std::string("?");
     Out.Report += ": ";
-    if (LocksText[Id])
-      Out.Report += *LocksText[Id];
+    if (Found.LocksText[Id])
+      Out.Report += *Found.LocksText[Id];
     Out.Report += "\n";
-    Census += Censuses[Id];
+    Census += Found.Censuses[Id];
   }
   std::snprintf(Line, sizeof(Line),
                 "fine-ro=%u fine-rw=%u coarse-ro=%u coarse-rw=%u\n",
@@ -274,12 +319,13 @@ AnalyzeOutcome IncrementalAnalyzer::analyze(const std::string &Unit,
 
   // Publish the new snapshot.
   {
-    Snapshot Snap;
+    auto Snap = std::make_shared<Snapshot>();
     for (unsigned I = 0; I < CG.numFunctions(); ++I)
-      Snap.FunctionHashes[CG.function(I)->name()] = FP.functionHash(I);
-    Snap.SectionKeys.reserve(NumSections);
-    for (const SectionInfo &Info : Sections)
-      Snap.SectionKeys.push_back(Info.Key);
+      Snap->FunctionHashes[CG.function(I)->name()] = FP.functionHash(I);
+    Snap->SectionKeys = std::move(Keys);
+    Snap->Source = Source;
+    Snap->K = Params.K;
+    Snap->Report = Out.Report;
     std::lock_guard<std::mutex> Lock(SnapshotsMu);
     Snapshots[Unit] = std::move(Snap);
   }
@@ -294,7 +340,7 @@ bool IncrementalAnalyzer::invalidateUnit(const std::string &Unit) {
     auto It = Snapshots.find(Unit);
     if (It == Snapshots.end())
       return false;
-    for (uint64_t Key : It->second.SectionKeys)
+    for (uint64_t Key : It->second->SectionKeys)
       Cache.erase(Key);
     Snapshots.erase(It);
   }

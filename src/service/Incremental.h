@@ -5,20 +5,29 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The service's analysis engine: each `analyze` request re-runs the
-/// cheap front half of the pipeline (parse → sema → lower → call graph →
+/// The service's analysis engine. An `analyze` request re-runs the cheap
+/// front half of the pipeline (parse → sema → lower → call graph →
 /// points-to), fingerprints the module (service/Fingerprint.h), and then
 /// serves every atomic section whose content-hash key is resident in the
 /// SummaryCache without re-running the lock inference. Only cache misses
 /// are re-analyzed, batched through InferenceOptions::OnlySections so one
 /// summary store is shared across the batch.
 ///
-/// Per-unit snapshots (function-name → body hash from the previous
-/// analyze of that unit) drive the dirty-SCC accounting: a changed
-/// function seeds its SCC, CallGraph::upwardClosure expands to every
-/// caller SCC, and the sections inside that cone are exactly the expected
-/// re-analysis set — surfaced in the outcome so tests and clients can
-/// verify the invalidation rule.
+/// Per-unit snapshots (function-name → body hash and the section keys of
+/// the previous analyze of that unit) drive the dirty-SCC accounting: a
+/// changed function seeds its SCC, CallGraph::upwardClosure expands to
+/// every caller SCC, and the sections inside that cone are exactly the
+/// expected re-analysis set — surfaced in the outcome so tests and
+/// clients can verify the invalidation rule.
+///
+/// Identical resubmits skip the pipeline. A snapshot also keeps the exact
+/// source bytes, k and report of the analyze that published it. Section
+/// keys are a pure function of (source, k), so a plain request (no force,
+/// run or check) with the same k and byte-equal source only probes the
+/// snapshot's keys in the cache: if all are resident it returns the
+/// stored report — the outcome the full path would compute, with every
+/// section a hit. If any key was evicted it falls through to the full
+/// path, which reuses the probe's hits so each key is looked up once.
 ///
 /// Everything here is re-entrant; one analyzer may serve concurrent
 /// requests from the daemon's worker pool.
@@ -32,8 +41,10 @@
 #include "interp/Interp.h"
 #include "obs/RequestTelemetry.h"
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -89,6 +100,9 @@ struct AnalyzeOutcome {
   unsigned CacheMisses = 0;
   /// Section ids actually re-analyzed this request (== misses).
   std::vector<uint32_t> Reanalyzed;
+  /// Served from the unit snapshot: an identical resubmit whose sections
+  /// were all resident, answered without parsing or rendering.
+  bool FromSnapshot = false;
 
   /// Dirty-SCC accounting vs the unit's previous snapshot.
   bool HadSnapshot = false;
@@ -131,13 +145,24 @@ public:
   void invalidateAll();
 
   size_t numUnits() const;
+  /// Requests answered from a unit snapshot (AnalyzeOutcome::FromSnapshot).
+  uint64_t resubmitsServed() const {
+    return Resubmits.load(std::memory_order_relaxed);
+  }
   SummaryCache &cache() { return Cache; }
 
 private:
+  /// What the last successful analyze of a unit left behind. Immutable
+  /// once published, so readers use it outside SnapshotsMu.
   struct Snapshot {
     std::unordered_map<std::string, uint64_t> FunctionHashes;
-    std::vector<uint64_t> SectionKeys;
+    std::vector<uint64_t> SectionKeys; ///< indexed by section id
+    std::string Source;                ///< exact bytes that were analyzed
+    unsigned K = 0;
+    std::string Report;
   };
+
+  std::shared_ptr<const Snapshot> snapshotOf(const std::string &Unit) const;
 
   /// Cached check report for one unit: valid while the module fingerprint
   /// (every function body + every SCC's region signature + k + the
@@ -154,10 +179,11 @@ private:
   // Separate mutex domains: snapshot publication, check-report caching,
   // and the (itself sharded) summary cache never serialize each other —
   // a check-heavy tenant cannot block another tenant's snapshot reads.
-  mutable std::mutex SnapshotsMu; // guards Snapshots only
+  mutable std::mutex SnapshotsMu; // guards the Snapshots map only
   mutable std::mutex CheckMu;     // guards CheckEntries only
-  std::unordered_map<std::string, Snapshot> Snapshots;
+  std::unordered_map<std::string, std::shared_ptr<const Snapshot>> Snapshots;
   std::unordered_map<std::string, CheckEntry> CheckEntries;
+  std::atomic<uint64_t> Resubmits{0};
 };
 
 } // namespace service

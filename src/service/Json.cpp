@@ -314,8 +314,15 @@ private:
       }
       if (C < 0x20)
         return fail("raw control character in string");
-      S += static_cast<char>(C);
-      ++Cur;
+      // Copy the run up to the next quote, backslash or control byte in
+      // one append.
+      const char *Run = Cur;
+      while (++Cur != End) {
+        unsigned char Next = static_cast<unsigned char>(*Cur);
+        if (Next == '"' || Next == '\\' || Next < 0x20)
+          break;
+      }
+      S.append(Run, Cur);
     }
   }
 

@@ -164,7 +164,8 @@ bool Server::start(std::string &Err) {
         "service.requests_aborted", "service.read_timeouts",
         "service.accept_throttled", "service.loop.wakeups",
         "service.loop.events", "service.loop.frames", "service.loop.batches",
-        "service.connections", "service.timeouts"})
+        "service.connections", "service.timeouts",
+        "service.resubmits_served"})
     obs::metrics().counter(Name);
 
   if (Opts.Model == ServerOptions::ServiceModel::EventLoop) {
@@ -796,6 +797,8 @@ Json Server::handleAnalyze(const Json &Request,
     R.set("mainResult", Json::integer(Out.MainResult));
     R.set("totalSteps", Json::integer(static_cast<int64_t>(Out.TotalSteps)));
   }
+  if (Out.FromSnapshot)
+    obs::metrics().counter("service.resubmits_served").inc();
   obs::metrics().counter("service.sections_served").add(Out.Sections);
   obs::metrics().counter("service.sections_reanalyzed")
       .add(Out.Reanalyzed.size());
@@ -822,6 +825,8 @@ Json Server::handleStats() {
   R.set("ok", Json::boolean(true));
   R.set("cache", std::move(CacheJson));
   R.set("units", Json::integer(static_cast<int64_t>(Analyzer.numUnits())));
+  R.set("resubmitsServed",
+        Json::integer(static_cast<int64_t>(Analyzer.resubmitsServed())));
   R.set("requestsServed",
         Json::integer(static_cast<int64_t>(requestsServed())));
   R.set("workers", Json::integer(Opts.Workers));

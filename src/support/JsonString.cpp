@@ -11,7 +11,13 @@
 void lockin::support::appendJsonString(std::string &Out,
                                        std::string_view S) {
   Out += '"';
-  for (unsigned char C : S) {
+  size_t Run = 0; // start of the pending run of bytes that need no escape
+  for (size_t I = 0; I < S.size(); ++I) {
+    unsigned char C = static_cast<unsigned char>(S[I]);
+    if (C >= 0x20 && C != '"' && C != '\\')
+      continue;
+    Out.append(S, Run, I - Run);
+    Run = I + 1;
     switch (C) {
     case '"':
       Out += "\\\"";
@@ -34,15 +40,13 @@ void lockin::support::appendJsonString(std::string &Out,
     case '\f':
       Out += "\\f";
       break;
-    default:
-      if (C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += static_cast<char>(C);
-      }
+    default: {
+      char Buf[8];
+      std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
+      Out += Buf;
+    }
     }
   }
+  Out.append(S, Run);
   Out += '"';
 }

@@ -16,7 +16,10 @@
 ///    Compilation::report(); a single-function edit re-analyzes exactly
 ///    the dirty SCC cone (the edited function's SCC plus upward-reachable
 ///    callers) while untouched sections stay cached; whitespace/comment
-///    edits hit fully; invalidation and force paths.
+///    edits hit fully; invalidation and force paths; identical
+///    resubmits served from the unit snapshot, and every way out of that
+///    fast path (evicted or erased keys, changed k, force/check/run,
+///    invalidation).
 ///  - Server: end-to-end request/response over a unix socket, cold/warm
 ///    accounting, backpressure under a full queue, per-request timeouts,
 ///    and the SIGTERM drain completing every in-flight request.
@@ -27,6 +30,7 @@
 #include "infer/SummaryCache.h"
 #include "obs/Obs.h"
 #include "service/Client.h"
+#include "service/Fingerprint.h"
 #include "service/Incremental.h"
 #include "service/Json.h"
 #include "service/Protocol.h"
@@ -102,6 +106,11 @@ TEST(Json, EscapesRoundTrip) {
   // Unicode escapes, including a surrogate pair (U+1F600).
   EXPECT_EQ(parseOk("\"\\u0041\\u00e9\"").asString(), "A\xc3\xa9");
   EXPECT_EQ(parseOk("\"\\ud83d\\ude00\"").asString(), "\xf0\x9f\x98\x80");
+
+  // Escapes at the ends and between runs of plain bytes.
+  EXPECT_EQ(Json::string("").str(), "\"\"");
+  EXPECT_EQ(Json::string("\"ab\\cd\x1f").str(), "\"\\\"ab\\\\cd\\u001f\"");
+  EXPECT_EQ(parseOk("\"\\nab\\u0041cd\\t\"").asString(), "\nabAcd\t");
 }
 
 TEST(Json, NumbersKeepIntegerExactness) {
@@ -120,6 +129,11 @@ TEST(Json, StrictParseRejections) {
   EXPECT_TRUE(parseFails("'single'"));
   EXPECT_TRUE(parseFails("{\"a\" 1}"));
   EXPECT_TRUE(parseFails("\"\\x41\""));
+  // Raw control bytes are rejected mid-run too, and a run may not end
+  // the input.
+  EXPECT_TRUE(parseFails("\"abc\x01" "def\""));
+  EXPECT_TRUE(parseFails("\"abc\ndef\""));
+  EXPECT_TRUE(parseFails("\"abc"));
   // Depth bomb: past the parser's MaxDepth.
   std::string Deep(100, '[');
   Deep += std::string(100, ']');
@@ -490,6 +504,223 @@ TEST(Incremental, CompileErrorsAreReported) {
   EXPECT_EQ(An.numUnits(), 0u); // failed runs publish no snapshot
 }
 
+/// The cache keys of \p Source's sections by section id: what the
+/// analyzer computes, and snapshots, for the same source and k.
+std::vector<uint64_t> sectionKeys(const std::string &Source, unsigned K) {
+  CompileOptions Options;
+  Options.K = K;
+  Options.Jobs = 1;
+  Options.InferLocks = false;
+  std::unique_ptr<Compilation> C = compile(Source, Options);
+  EXPECT_TRUE(C->ok()) << C->diagnostics().str();
+  ModuleFingerprint FP(C->module(), C->callGraph(), C->pointsTo());
+  std::vector<uint64_t> Keys(C->module().numAtomicSections());
+  for (const auto &F : C->module().functions()) {
+    const auto &Atomics = F->atomicSections();
+    for (unsigned Ord = 0; Ord < Atomics.size(); ++Ord)
+      Keys[Atomics[Ord]->sectionId()] = FP.sectionKey(F.get(), Ord, K);
+  }
+  return Keys;
+}
+
+/// Two sections that share no cache key with coneProgram's.
+const char *OtherProgram = R"(struct cell { int v; };
+cell* g;
+
+void w() {
+  atomic { g->v = g->v + 2; }
+}
+
+void x() {
+  atomic { g->v = g->v * 3; }
+}
+
+int main() {
+  g = new cell;
+  spawn w();
+  spawn x();
+  return 0;
+}
+)";
+
+TEST(Incremental, IdenticalResubmitServedFromSnapshot) {
+  SummaryCache Cache(1024);
+  IncrementalAnalyzer An(Cache);
+  AnalyzeParams P;
+  P.Jobs = 1;
+  std::string Source = coneProgram(1);
+  AnalyzeOutcome Cold = An.analyze("u", Source, P);
+  ASSERT_TRUE(Cold.Ok) << Cold.Error;
+  EXPECT_FALSE(Cold.FromSnapshot);
+  EXPECT_EQ(An.resubmitsServed(), 0u);
+
+  SummaryCache::Stats Before = Cache.stats();
+  AnalyzeOutcome Out = An.analyze("u", Source, P);
+  ASSERT_TRUE(Out.Ok) << Out.Error;
+  EXPECT_TRUE(Out.FromSnapshot);
+  EXPECT_EQ(An.resubmitsServed(), 1u);
+  EXPECT_EQ(Out.Report, oneShotReport(Source));
+  EXPECT_EQ(Out.Sections, 2u);
+  EXPECT_EQ(Out.CacheHits, Out.Sections);
+  EXPECT_EQ(Out.CacheMisses, 0u);
+  EXPECT_TRUE(Out.Reanalyzed.empty());
+  EXPECT_TRUE(Out.DirtyConeSections.empty());
+  EXPECT_TRUE(Out.HadSnapshot);
+  EXPECT_EQ(Out.DirtyFunctions, 0u);
+  EXPECT_EQ(Out.DirtySccs, 0u);
+
+  // The probe counts (and refreshes) every key exactly once.
+  SummaryCache::Stats After = Cache.stats();
+  EXPECT_EQ(After.Hits - Before.Hits, Out.Sections);
+  EXPECT_EQ(After.Misses, Before.Misses);
+  EXPECT_EQ(After.Insertions, Before.Insertions);
+}
+
+TEST(Incremental, ResubmitAfterEvictionReanalyzesTheMissingSections) {
+  // Room for three entries: the second unit's two sections evict the
+  // first unit's least recent one, section #0 (inserted first).
+  SummaryCache Cache(3);
+  IncrementalAnalyzer An(Cache);
+  AnalyzeParams P;
+  P.Jobs = 1;
+  std::string Source = coneProgram(1);
+  ASSERT_TRUE(An.analyze("u", Source, P).Ok);
+  ASSERT_TRUE(An.analyze("v", OtherProgram, P).Ok);
+  ASSERT_EQ(Cache.stats().Evictions, 1u);
+
+  SummaryCache::Stats Before = Cache.stats();
+  AnalyzeOutcome Out = An.analyze("u", Source, P);
+  ASSERT_TRUE(Out.Ok) << Out.Error;
+  EXPECT_FALSE(Out.FromSnapshot);
+  EXPECT_EQ(An.resubmitsServed(), 0u);
+  EXPECT_EQ(Out.CacheHits, 1u);
+  EXPECT_EQ(Out.CacheMisses, 1u);
+  EXPECT_EQ(Out.Reanalyzed, std::vector<uint32_t>{0});
+  EXPECT_EQ(Out.DirtyFunctions, 0u);
+  EXPECT_EQ(Out.Report, oneShotReport(Source));
+  // The full path reused the probe: each key counted once.
+  SummaryCache::Stats After = Cache.stats();
+  EXPECT_EQ(After.Hits - Before.Hits, 1u);
+  EXPECT_EQ(After.Misses - Before.Misses, 1u);
+
+  // Re-analyzing put the section back: the next resubmit is served.
+  AnalyzeOutcome Again = An.analyze("u", Source, P);
+  EXPECT_TRUE(Again.FromSnapshot);
+  EXPECT_EQ(Again.Report, Out.Report);
+}
+
+TEST(Incremental, ResubmitAfterEraseReanalyzesTheErasedSection) {
+  SummaryCache Cache(1024);
+  IncrementalAnalyzer An(Cache);
+  AnalyzeParams P;
+  P.Jobs = 1;
+  std::string Source = coneProgram(1);
+  ASSERT_TRUE(An.analyze("u", Source, P).Ok);
+
+  std::vector<uint64_t> Keys = sectionKeys(Source, P.K);
+  ASSERT_EQ(Keys.size(), 2u);
+  Cache.erase(Keys[1]);
+  AnalyzeOutcome Out = An.analyze("u", Source, P);
+  ASSERT_TRUE(Out.Ok) << Out.Error;
+  EXPECT_FALSE(Out.FromSnapshot);
+  EXPECT_EQ(Out.CacheHits, 1u);
+  EXPECT_EQ(Out.Reanalyzed, std::vector<uint32_t>{1});
+  EXPECT_EQ(Out.Report, oneShotReport(Source));
+}
+
+TEST(Incremental, ChangedKForceCheckAndRunTakeTheFullPath) {
+  SummaryCache Cache(1024);
+  IncrementalAnalyzer An(Cache);
+  AnalyzeParams P;
+  P.Jobs = 1;
+  std::string Source = coneProgram(1);
+  ASSERT_TRUE(An.analyze("u", Source, P).Ok);
+
+  AnalyzeParams OtherK = P;
+  OtherK.K = P.K + 1;
+  AnalyzeOutcome Out = An.analyze("u", Source, OtherK);
+  ASSERT_TRUE(Out.Ok) << Out.Error;
+  EXPECT_FALSE(Out.FromSnapshot);
+  EXPECT_EQ(Out.CacheMisses, 2u); // k is part of every key
+
+  // Back to the original k: the snapshot now holds the other k, so this
+  // runs the full path too, all hits.
+  Out = An.analyze("u", Source, P);
+  ASSERT_TRUE(Out.Ok) << Out.Error;
+  EXPECT_FALSE(Out.FromSnapshot);
+  EXPECT_EQ(Out.CacheHits, 2u);
+
+  for (bool AnalyzeParams::*Flag :
+       {&AnalyzeParams::Force, &AnalyzeParams::Check, &AnalyzeParams::Run}) {
+    AnalyzeParams Q = P;
+    Q.*Flag = true;
+    Out = An.analyze("u", Source, Q);
+    ASSERT_TRUE(Out.Ok) << Out.Error;
+    EXPECT_FALSE(Out.FromSnapshot);
+    EXPECT_EQ(Out.CacheMisses, 2u);
+    EXPECT_EQ(Out.Report, oneShotReport(Source));
+  }
+  EXPECT_EQ(An.resubmitsServed(), 0u);
+
+  // A plain request after them is served.
+  Out = An.analyze("u", Source, P);
+  EXPECT_TRUE(Out.FromSnapshot);
+  EXPECT_EQ(Out.Report, oneShotReport(Source));
+}
+
+TEST(Incremental, ConcurrentResubmitsAndEditsOfOneUnitStayByteIdentical) {
+  // Snapshot publication races the fast path's reads: two threads keep
+  // resubmitting one version while two others flip the unit between two
+  // versions. Whichever snapshot a request sees, its report must be the
+  // cold report of its own source.
+  SummaryCache Cache(1024);
+  IncrementalAnalyzer An(Cache);
+  const std::string Sources[2] = {coneProgram(1), coneProgram(2)};
+  const std::string Expected[2] = {oneShotReport(Sources[0]),
+                                   oneShotReport(Sources[1])};
+  std::atomic<unsigned> Wrong{0};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < 4; ++T)
+    Threads.emplace_back([&, T] {
+      AnalyzeParams P;
+      P.Jobs = 1;
+      for (unsigned I = 0; I < 20; ++I) {
+        unsigned V = T < 2 ? 0 : (T + I) % 2;
+        AnalyzeOutcome Out = An.analyze("u", Sources[V], P);
+        if (!Out.Ok || Out.Report != Expected[V])
+          Wrong.fetch_add(1);
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Wrong.load(), 0u);
+}
+
+TEST(Incremental, InvalidationDropsTheStoredSourceAndReport) {
+  SummaryCache Cache(1024);
+  IncrementalAnalyzer An(Cache);
+  AnalyzeParams P;
+  P.Jobs = 1;
+  std::string Source = coneProgram(1);
+
+  ASSERT_TRUE(An.analyze("u", Source, P).Ok);
+  ASSERT_TRUE(An.invalidateUnit("u"));
+  AnalyzeOutcome Out = An.analyze("u", Source, P);
+  ASSERT_TRUE(Out.Ok) << Out.Error;
+  EXPECT_FALSE(Out.FromSnapshot);
+  EXPECT_FALSE(Out.HadSnapshot);
+  EXPECT_EQ(Out.CacheMisses, 2u);
+
+  An.invalidateAll();
+  Out = An.analyze("u", Source, P);
+  ASSERT_TRUE(Out.Ok) << Out.Error;
+  EXPECT_FALSE(Out.FromSnapshot);
+  EXPECT_FALSE(Out.HadSnapshot);
+  EXPECT_EQ(Out.CacheMisses, 2u);
+  EXPECT_EQ(Out.Report, oneShotReport(Source));
+  EXPECT_EQ(An.resubmitsServed(), 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // Server
 //===----------------------------------------------------------------------===//
@@ -609,6 +840,7 @@ TEST(Server, EndToEndColdWarmInvalidate) {
   EXPECT_EQ(CacheStats->getUint("hits", 0), 2u);
   EXPECT_EQ(CacheStats->getUint("entries", 0), 2u);
   EXPECT_EQ(Resp.getUint("units", 0), 1u);
+  EXPECT_EQ(Resp.getUint("resubmitsServed", 99), 1u);
 
   // Invalidate the unit; the next analyze is cold again.
   Json Inval = opRequest("invalidate");
@@ -849,6 +1081,8 @@ TEST(Server, MetricsOpServesLivePrometheus) {
   EXPECT_NE(
       Prom.find("# TYPE lockin_service_requests_analyze_total counter"),
       std::string::npos);
+  EXPECT_NE(Prom.find("# TYPE lockin_service_resubmits_served_total counter"),
+            std::string::npos);
   const Json *Counters = Resp.get("counters");
   ASSERT_NE(Counters, nullptr);
   EXPECT_GE(Counters->getUint("service.requests.analyze", 0), 1u);
@@ -888,8 +1122,13 @@ TEST(Server, FlightRecordOpListsCompletedRequests) {
   ASSERT_TRUE(C.call(analyzeRequest("fr.atom", coneProgram(1)), Resp, Err))
       << Err;
   ASSERT_TRUE(Resp.getBool("ok", false));
-  ASSERT_TRUE(C.call(analyzeRequest("fr.atom", coneProgram(1)), Resp, Err))
-      << Err;
+  // A trivia edit: every section still hits, but the bytes differ, so
+  // the request runs every phase.
+  std::string Edited = coneProgram(1) + "// trailing comment\n";
+  ASSERT_TRUE(C.call(analyzeRequest("fr.atom", Edited), Resp, Err)) << Err;
+  ASSERT_TRUE(Resp.getBool("ok", false));
+  // An identical resubmit: served from the unit snapshot.
+  ASSERT_TRUE(C.call(analyzeRequest("fr.atom", Edited), Resp, Err)) << Err;
   ASSERT_TRUE(Resp.getBool("ok", false));
 
   ASSERT_TRUE(C.call(opRequest("flightrecord"), Resp, Err)) << Err;
@@ -901,10 +1140,10 @@ TEST(Server, FlightRecordOpListsCompletedRequests) {
     return;
   }
   EXPECT_TRUE(Resp.getBool("telemetry", false));
-  EXPECT_EQ(Resp.getUint("recorded", 0), 2u);
+  EXPECT_EQ(Resp.getUint("recorded", 0), 3u);
   const Json *Records = Resp.get("records");
   ASSERT_NE(Records, nullptr);
-  ASSERT_EQ(Records->items().size(), 2u);
+  ASSERT_EQ(Records->items().size(), 3u);
   const Json &Warm = Records->items()[1]; // oldest-first
   EXPECT_EQ(Warm.getString("op", ""), "analyze");
   EXPECT_EQ(Warm.getString("unit", ""), "fr.atom");
@@ -918,6 +1157,17 @@ TEST(Server, FlightRecordOpListsCompletedRequests) {
   EXPECT_GT(Phases->getUint("parse", 0), 0u);
   EXPECT_GT(Phases->getUint("analyze", 0), 0u);
   EXPECT_GT(Phases->getUint("render", 0), 0u);
+
+  // The resubmit only probed the cache, timed as its analyze phase.
+  const Json &Resubmit = Records->items()[2];
+  EXPECT_EQ(Resubmit.getString("outcome", ""), "ok");
+  EXPECT_EQ(Resubmit.getUint("cache_hits", 0), 2u);
+  const Json *ResubmitPhases = Resubmit.get("phases_ns");
+  ASSERT_NE(ResubmitPhases, nullptr);
+  EXPECT_GT(ResubmitPhases->getUint("analyze", 0), 0u);
+  EXPECT_EQ(ResubmitPhases->getUint("parse", 99), 0u);
+  EXPECT_EQ(ResubmitPhases->getUint("fingerprint", 99), 0u);
+  EXPECT_EQ(ResubmitPhases->getUint("render", 99), 0u);
 
   // The debug/ alias answers too.
   ASSERT_TRUE(C.call(opRequest("debug/flightrecord"), Resp, Err)) << Err;
