@@ -11,10 +11,10 @@
 
 #include <atomic>
 #include <cassert>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 
 namespace lockin {
@@ -36,58 +36,93 @@ inline void cpuRelax() {
 /// currently granted mode — which prevents writer starvation while still
 /// letting compatible holders (e.g. many S readers) overlap.
 ///
-/// The whole grant state lives in one atomic word: a 12-bit grant count
-/// per mode (IS, IX, S, SIX, X) plus a has-waiters bit. Uncontended
-/// acquire is a single CAS (compatibility is one AND against a
+/// The grant state is one atomic word: a 12-bit grant count per mode
+/// (IS, IX, S, SIX, X) plus a has-waiters bit and a drain bit. Uncontended
+/// acquire is a single fetch_add (compatibility is one AND against a
 /// precomputed conflict mask) and uncontended release a single fetch_sub;
 /// neither touches the mutex or the condition variable. A request that
 /// observes a conflict — or the waiter bit, which means barging would
-/// overtake parked threads — spins briefly and then parks on the FIFO
-/// ticket queue of the original design. Releases notify only when the
-/// waiter bit was set, so uncontended sections never pay a wakeup.
+/// overtake parked threads — spins briefly (its last rounds yield the
+/// CPU, so a holder preempted on the same core can finish) and then
+/// parks on the FIFO ticket queue of the original design. Releases
+/// notify only when the waiter bit was set, so uncontended sections
+/// never pay a wakeup.
+///
+/// Interior nodes (the root and the regions, which every non-global
+/// section takes in IS or IX) keep IS/IX out of the word, in per-thread
+/// intention slots: cache-line-padded signed IS/IX counters, so disjoint
+/// fine sections never write a shared line. An intention request adds
+/// to its own slot and then reads the word; a strong request (S, SIX, X)
+/// adds to the word and then drains the slots of the intention modes it
+/// conflicts with, reading only the slots marked in use. The two halves
+/// form a Dekker pair (all seq_cst), so at least one side sees the
+/// other; see DESIGN.md "Intention slots".
+/// Leaf nodes (addresses, stripes) carry no slots.
 class LockNode {
 public:
+  enum class Kind : uint8_t { Leaf, Interior };
+
+  LockNode() = default;
+  explicit LockNode(Kind K);
+
   /// Blocks until the node is granted in \p M. Returns true iff the
-  /// thread had to park (the contended slow path); when \p WaitNs is
-  /// non-null it receives the parked wait in nanoseconds (and is left
-  /// untouched on the uncontended path, which never reads the clock).
+  /// thread had to park (the contended slow path, or a parked drain);
+  /// when \p WaitNs is non-null the parked wait in nanoseconds is added
+  /// to it (it is left untouched on the unparked path, which never reads
+  /// the clock).
   bool acquire(Mode M, uint64_t *WaitNs = nullptr) {
-    if (fastAcquire(M))
+    if (isIntention(M) && Slots) {
+      // Own slot first, then the word: the Dekker half that pairs with
+      // a strong grant's word add followed by its slot loads.
+      intentionCounter(M).fetch_add(1, std::memory_order_seq_cst);
+      uint64_t W = Word.load(std::memory_order_seq_cst);
+      if (!(W & (conflictMask(M) | WaiterBit)))
+        return false;
+      return intentionContended(M, W, WaitNs);
+    }
+    // Optimistic: add the grant first and validate against the
+    // *pre-add* value, so the uncontended acquire is one fetch_add rather
+    // than load + CAS. seq_cst: on an interior node this add is the
+    // strong half of the intention-slot Dekker pair, and the load of the
+    // slot mask after it is that half's first slot read. A node whose
+    // slots were never used (every leaf, and a region only ever locked
+    // coarsely) has nothing to drain.
+    uint64_t W = Word.fetch_add(grantOne(M), std::memory_order_seq_cst);
+    assert((W & grantMask(M)) != grantMask(M) && "grant count overflow");
+    if (!(W & (conflictMask(M) | WaiterBit)) &&
+        !SlotsUsed.load(std::memory_order_seq_cst))
       return false;
-    slowAcquire(M, WaitNs);
-    return true;
+    return wordContended(M, W, WaitNs);
   }
 
-  /// Releases one grant of \p M.
+  /// Releases one grant of \p M. An intention grant may be released by
+  /// a different thread than the one that acquired it: the slots are
+  /// summed, never read one by one.
   void release(Mode M) {
+    if (isIntention(M) && Slots) {
+      intentionCounter(M).fetch_sub(1, std::memory_order_seq_cst);
+      if (Word.load(std::memory_order_seq_cst) & DrainBit)
+        wake();
+      return;
+    }
     uint64_t Prev = Word.fetch_sub(grantOne(M), std::memory_order_acq_rel);
     assert((Prev & grantMask(M)) != 0 && "release without matching grant");
-    if (Prev & WaiterBit) {
-      // Taking the mutex before notifying closes the race with a waiter
-      // that evaluated its predicate (pre-decrement) but has not yet
-      // blocked: it still holds the mutex at that point.
-      std::lock_guard<std::mutex> Lock(Mu);
-      CV.notify_all();
-    }
+    if (Prev & WaiterBit)
+      wake();
   }
 
   /// Non-blocking variant; fails when the node is incompatible or any
   /// thread is parked (queue-jumping would break FIFO).
-  bool tryAcquire(Mode M) {
-    uint64_t W = Word.load(std::memory_order_relaxed);
-    while (!(W & (WaiterBit | conflictMask(M)))) {
-      if (Word.compare_exchange_weak(W, W + grantOne(M),
-                                     std::memory_order_acquire,
-                                     std::memory_order_relaxed))
-        return true;
-    }
-    return false;
-  }
+  bool tryAcquire(Mode M);
 
-  /// Number of current grants of \p M (diagnostics/tests only).
-  unsigned grantedCount(Mode M) const {
-    uint64_t W = Word.load(std::memory_order_acquire);
-    return static_cast<unsigned>((W >> countShift(M)) & CountMask);
+  /// Number of current grants of \p M (diagnostics/tests only); on an
+  /// interior node IS and IX are the sums over the intention slots.
+  unsigned grantedCount(Mode M) const;
+
+  /// True while any request is parked in the FIFO queue (diagnostics/
+  /// tests only).
+  bool hasWaiters() const {
+    return (Word.load(std::memory_order_acquire) & WaiterBit) != 0;
   }
 
   /// Reader-preference bias (set by the adaptive engine on persistently
@@ -108,12 +143,16 @@ public:
   }
 
 private:
-  // Word layout: five 12-bit grant counts (mode i at bits [12i, 12i+12))
-  // and the has-waiters bit above them. 12 bits bound concurrent holders
-  // per mode at 4095, far above any realistic thread count.
+  // Word layout: five 12-bit grant counts (mode i at bits [12i, 12i+12)),
+  // then the has-waiters bit and the drain bit. 12 bits bound concurrent
+  // holders per mode at 4095, far above any realistic thread count. On
+  // an interior node the IS and IX counts stay zero.
   static constexpr unsigned BitsPerMode = 12;
   static constexpr uint64_t CountMask = (1ull << BitsPerMode) - 1;
   static constexpr uint64_t WaiterBit = 1ull << (BitsPerMode * NumModes);
+  /// Set (under Mu) while a strong holder is parked waiting for the
+  /// intention slots to drain; slot releasers notify when they see it.
+  static constexpr uint64_t DrainBit = WaiterBit << 1;
   static constexpr unsigned SpinLimit = 48;
 
   static constexpr unsigned countShift(Mode M) {
@@ -123,6 +162,7 @@ private:
   static constexpr uint64_t grantMask(Mode M) {
     return CountMask << countShift(M);
   }
+  static constexpr bool isIntention(Mode M) { return M <= Mode::IX; }
 
   /// All-ones across the count fields of every mode incompatible with
   /// \p M: `word & conflictMask(M) == 0` ⇔ M is compatible with every
@@ -143,100 +183,56 @@ private:
     return Table[static_cast<unsigned>(M)];
   }
 
-  bool fastAcquire(Mode M) {
-    const uint64_t Conflicts = conflictMask(M);
-    const uint64_t One = grantOne(M);
-    unsigned Budget = SpinLimit;
-    for (;;) {
-      // Optimistic: add the grant first and validate against the
-      // *pre-add* value, so the uncontended acquire is one fetch_add
-      // rather than load + CAS. The RMW order totally orders racing
-      // optimists — the first one sees a clean word and keeps its grant,
-      // later incompatible ones see the winner and undo, so there is no
-      // mutual kill. A transient optimistic grant can only make a
-      // concurrent compatibility check conservatively fail, never
-      // wrongly succeed.
-      uint64_t W = Word.fetch_add(One, std::memory_order_acquire);
-      assert((W & grantMask(M)) != grantMask(M) && "grant count overflow");
-      if (!(W & (Conflicts | WaiterBit)))
-        return true;
-      // Reader barge: compatible with everything granted, blocked only
-      // by the waiter bit. With bias on and credit left, keep the grant
-      // instead of queueing behind the parked (writer) waiters.
-      if (!(W & Conflicts) && (M == Mode::IS || M == Mode::S) &&
-          Bias.load(std::memory_order_relaxed) &&
-          BargeCredit.fetch_sub(1, std::memory_order_relaxed) > 0)
-        return true;
-      uint64_t Prev = Word.fetch_sub(One, std::memory_order_acq_rel);
-      if (Prev & WaiterBit) {
-        // Our phantom grant may have made the queue head's own grant
-        // attempt fail; re-notify so it retries.
-        std::lock_guard<std::mutex> Lock(Mu);
-        CV.notify_all();
-      }
-      if (W & WaiterBit)
-        return false; // parked waiters have priority: join the queue
-      // Conflict: spin on plain loads until it clears, then retry the
-      // optimistic add; park once the budget runs out.
-      for (;;) {
-        if (Budget-- == 0)
-          return false;
-        W = Word.load(std::memory_order_relaxed);
-        if (W & WaiterBit)
-          return false;
-        if (!(W & Conflicts))
-          break;
-        detail::cpuRelax();
-      }
-    }
-  }
+  /// One thread's IS/IX grant counts on an interior node. Signed: a
+  /// grant released by another thread leaves this slot at -1 and the
+  /// acquirer's at +1, and only the sum is meaningful.
+  struct alignas(64) IntentionSlot {
+    std::atomic<int64_t> Count[2]{};
+  };
 
-  static uint64_t clockNs() {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
+  /// This thread's slot index, assigned once per thread, round-robin.
+  static unsigned threadSlot() {
+    thread_local unsigned Index = ~0u;
+    if (Index == ~0u) [[unlikely]]
+      Index = nextThreadSlot();
+    return Index;
   }
+  static unsigned nextThreadSlot();
+  /// Slots per interior node: bit_ceil(2 × hardware threads), capped
+  /// at 64.
+  static unsigned slotCount();
 
-  void slowAcquire(Mode M, uint64_t *WaitNs) {
-    const uint64_t T0 = WaitNs ? clockNs() : 0;
-    const uint64_t Conflicts = conflictMask(M);
-    const uint64_t One = grantOne(M);
-    std::unique_lock<std::mutex> Lock(Mu);
-    uint64_t Ticket = NextTicket++;
-    Waiters.push_back({Ticket, M});
-    // RMW, not store: fast-path CASes concurrently mutate the counts.
-    Word.fetch_or(WaiterBit, std::memory_order_relaxed);
-    CV.wait(Lock, [&] {
-      if (Waiters.front().Ticket != Ticket)
-        return false;
-      // Head of the queue: claim the grant with the same CAS the fast
-      // path uses, so the check and the grant are one atomic step even
-      // against fast-path acquirers on other threads.
-      uint64_t W = Word.load(std::memory_order_relaxed);
-      while (!(W & Conflicts)) {
-        if (Word.compare_exchange_weak(W, W + One, std::memory_order_acquire,
-                                       std::memory_order_relaxed))
-          return true;
-        detail::cpuRelax();
-      }
-      return false;
-    });
-    Waiters.pop_front();
-    // A queued waiter got through: replenish the reader barge allowance
-    // (the anti-starvation half of the bias valve).
-    if (uint32_t R = BargeRefill.load(std::memory_order_relaxed))
-      BargeCredit.store(static_cast<int32_t>(R), std::memory_order_relaxed);
-    if (Waiters.empty())
-      Word.fetch_and(~WaiterBit, std::memory_order_relaxed);
-    // The next waiter may also be compatible (e.g. another reader).
-    CV.notify_all();
-    if (WaitNs)
-      *WaitNs = clockNs() - T0;
+  /// The calling thread's counter for \p M. Its slot is marked in
+  /// SlotsUsed before the first access, which may be the release of
+  /// another thread's grant (leaving the slot negative), and the mark
+  /// is never cleared; so after the first use this costs one load of
+  /// the word's cache line.
+  std::atomic<int64_t> &intentionCounter(Mode M) {
+    const unsigned Index = threadSlot();
+    const uint32_t Bit = usedBit(Index);
+    if (!(SlotsUsed.load(std::memory_order_seq_cst) & Bit)) [[unlikely]]
+      SlotsUsed.fetch_or(Bit, std::memory_order_seq_cst);
+    return Slots[Index].Count[static_cast<unsigned>(M)];
   }
+  /// Bit b of SlotsUsed stands for slots b, b + 32, ... (there are at
+  /// most 64).
+  static uint32_t usedBit(unsigned Index) { return 1u << (Index % 32); }
+
+  // Out of line: keeping acquire() small enough to inline into the
+  // runtime's grab.
+  bool wordContended(Mode M, uint64_t W, uint64_t *WaitNs);
+  bool keepWordGrant(Mode M, uint64_t W);
+  bool spinUntilClear(uint64_t Conflicts, unsigned &Budget) const;
+  bool intentionContended(Mode M, uint64_t W, uint64_t *WaitNs);
+  void undoIntention(Mode M);
+  void slowAcquire(Mode M, uint64_t *WaitNs);
+  bool grantAtHead(Mode M);
+  bool drain(Mode M, uint64_t *WaitNs);
+  int64_t intentionSum(uint8_t Modes) const;
+  void wake();
 
   struct Waiter {
-    uint64_t Ticket;
+    uint32_t Ticket;
     Mode M;
   };
 
@@ -246,17 +242,28 @@ public:
   uint32_t ObsId = 0;
 
 private:
+  // Field order packs the 4- and 2-byte members into what would be
+  // padding, so neither the slot pointer nor the slot mask grows a leaf
+  // node.
+  //
+  /// Intention slots ever used on this node (see usedBit); next to Word,
+  /// whose cache line every acquire touches anyway. Always 0 on a leaf.
+  std::atomic<uint32_t> SlotsUsed{0};
   std::atomic<uint64_t> Word{0};
-  std::mutex Mu;                // guards Waiters/NextTicket + CV protocol
+  std::mutex Mu; // guards Waiters/NextTicket/Drainers + CV protocol
   std::condition_variable CV;
   std::deque<Waiter> Waiters;
-  uint64_t NextTicket = 0;
+  uint32_t NextTicket = 0;
   // Reader-bias valve (see setReaderBias). Credit may transiently drift
   // below zero under concurrent failed barges; refills store the
   // absolute allowance, so the drift never accumulates.
-  std::atomic<uint8_t> Bias{0};
-  std::atomic<int32_t> BargeCredit{0};
   std::atomic<uint32_t> BargeRefill{0};
+  std::atomic<int32_t> BargeCredit{0};
+  std::atomic<uint8_t> Bias{0};
+  /// Strong holders parked in drain (guarded by Mu; DrainBit ⇔ > 0).
+  uint16_t Drainers = 0;
+  /// Interior nodes only: slotCount() intention slots; null on leaves.
+  std::unique_ptr<IntentionSlot[]> Slots;
 };
 
 } // namespace rt

@@ -18,7 +18,7 @@ LockRuntime::LockRuntime(unsigned NumRegions, obs::MetricsRegistry *Registry,
       Prof(Profiler ? Profiler : &obs::lockProfiler()) {
   Regions.reserve(NumRegions);
   for (unsigned I = 0; I < NumRegions; ++I)
-    Regions.push_back(std::make_unique<LockNode>());
+    Regions.push_back(std::make_unique<LockNode>(LockNode::Kind::Interior));
   Dyn = std::make_unique<RegionDyn[]>(NumRegions ? NumRegions : 1);
   SC.AcquireAllCalls = &Reg->counter("runtime.acquire_all_calls");
   SC.NodeAcquisitions = &Reg->counter("runtime.node_acquisitions");

@@ -20,8 +20,10 @@
 /// Fast path (see DESIGN.md "Runtime fast path"): the per-call mode
 /// folding runs on reusable per-context scratch vectors (steady-state
 /// acquire-all performs zero heap allocations), repeat leaf lookups hit a
-/// per-thread direct-mapped cache instead of the sharded table, and the
-/// per-access cover check is a binary search over a sorted index.
+/// per-thread direct-mapped cache instead of the sharded table, the
+/// per-access cover check is a binary search over a sorted index, and
+/// the root and region nodes keep IS/IX in per-thread intention slots,
+/// so sections with disjoint leaves write no shared cache line.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -228,7 +230,9 @@ public:
   };
 
 private:
-  LockNode Root;
+  /// Root and regions are interior nodes: every non-global section takes
+  /// them in IS/IX, which lands in per-thread intention slots.
+  LockNode Root{LockNode::Kind::Interior};
   std::vector<std::unique_ptr<LockNode>> Regions;
 
   /// Per-region dynamic-layout state.

@@ -144,20 +144,26 @@ TEST(AdaptiveBias, UncontendedReadsNeverBias) {
   EXPECT_FALSE(Leaf.readerBias());
 }
 
-TEST(AdaptiveBias, WriterMakesProgressUnderReaderBias) {
+/// Bias tests that drive one node directly run on both node kinds: a
+/// leaf, and an interior node whose IS grants live in intention slots.
+class AdaptiveBiasKinds : public ::testing::TestWithParam<LockNode::Kind> {};
+
+TEST_P(AdaptiveBiasKinds, WriterMakesProgressUnderReaderBias) {
   // The barge valve admits BargeCredit readers past a parked writer,
   // then the FIFO queue must win: the writer completes while readers
-  // keep hammering.
-  LockNode N;
+  // keep hammering. One reader takes IS, which barges through the
+  // intention slots on an interior node.
+  LockNode N(GetParam());
   N.setReaderBias(true, /*Credit=*/16);
   std::atomic<bool> Stop{false};
   std::atomic<bool> WriterDone{false};
   std::vector<std::thread> Readers;
   for (int I = 0; I < 3; ++I)
-    Readers.emplace_back([&] {
+    Readers.emplace_back([&, I] {
+      const Mode M = I == 1 ? Mode::IS : Mode::S;
       while (!Stop.load(std::memory_order_relaxed)) {
-        N.acquire(Mode::S);
-        N.release(Mode::S);
+        N.acquire(M);
+        N.release(M);
       }
     });
   std::thread Writer([&] {
@@ -174,6 +180,35 @@ TEST(AdaptiveBias, WriterMakesProgressUnderReaderBias) {
     T.join();
   EXPECT_TRUE(WriterDone.load());
 }
+
+TEST_P(AdaptiveBiasKinds, IntentionReaderBargesPastParkedWriter) {
+  // S is held and an X writer is parked behind it. IS is compatible with
+  // S, so only the waiter bit blocks it: with bias and credit it keeps
+  // its grant without parking. (Unbiased, it would queue behind the
+  // writer, which waits on the S this thread holds.)
+  LockNode N(GetParam());
+  N.setReaderBias(true, /*Credit=*/1);
+  N.acquire(Mode::S);
+  std::thread Writer([&] {
+    N.acquire(Mode::X);
+    N.release(Mode::X);
+  });
+  while (!N.hasWaiters())
+    std::this_thread::yield();
+  EXPECT_FALSE(N.acquire(Mode::IS)) << "barging IS parked";
+  EXPECT_EQ(N.grantedCount(Mode::IS), 1u);
+  N.release(Mode::IS);
+  N.release(Mode::S);
+  Writer.join();
+  EXPECT_EQ(N.grantedCount(Mode::X), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AdaptiveBias, AdaptiveBiasKinds,
+    ::testing::Values(LockNode::Kind::Leaf, LockNode::Kind::Interior),
+    [](const ::testing::TestParamInfo<LockNode::Kind> &Info) {
+      return Info.param == LockNode::Kind::Leaf ? "Leaf" : "Interior";
+    });
 
 //===----------------------------------------------------------------------===//
 // Rung 2: stripe escalation

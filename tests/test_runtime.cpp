@@ -102,8 +102,13 @@ TEST(Modes, CombineIsJoin) {
 // LockNode
 //===----------------------------------------------------------------------===//
 
-TEST(LockNode, SharedHoldersOverlap) {
-  LockNode Node;
+/// Every LockNode test runs on both node kinds: a leaf keeps all grants
+/// in its word, an interior node (root, region) keeps IS/IX in
+/// per-thread intention slots.
+class LockNodeKinds : public ::testing::TestWithParam<LockNode::Kind> {};
+
+TEST_P(LockNodeKinds, SharedHoldersOverlap) {
+  LockNode Node(GetParam());
   Node.acquire(Mode::S);
   EXPECT_TRUE(Node.tryAcquire(Mode::S));
   EXPECT_TRUE(Node.tryAcquire(Mode::IS));
@@ -116,8 +121,8 @@ TEST(LockNode, SharedHoldersOverlap) {
   Node.release(Mode::X);
 }
 
-TEST(LockNode, ExclusiveBlocksUntilReleased) {
-  LockNode Node;
+TEST_P(LockNodeKinds, ExclusiveBlocksUntilReleased) {
+  LockNode Node(GetParam());
   Node.acquire(Mode::X);
   std::atomic<bool> Acquired{false};
   std::thread T([&] {
@@ -132,9 +137,9 @@ TEST(LockNode, ExclusiveBlocksUntilReleased) {
   EXPECT_TRUE(Acquired.load());
 }
 
-TEST(LockNode, WriterNotStarvedByReaders) {
+TEST_P(LockNodeKinds, WriterNotStarvedByReaders) {
   // FIFO granting: once a writer queues, later readers wait behind it.
-  LockNode Node;
+  LockNode Node(GetParam());
   Node.acquire(Mode::S);
   std::atomic<bool> WriterDone{false};
   std::thread Writer([&] {
@@ -142,8 +147,12 @@ TEST(LockNode, WriterNotStarvedByReaders) {
     WriterDone.store(true);
     Node.release(Mode::X);
   });
-  // Give the writer time to enqueue.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // Wait until the writer has queued. Its waiter bit stays up until it
+  // is granted, which cannot happen while S is held here. (Polling
+  // tryAcquire(S) instead could stop early on the writer's brief
+  // optimistic X grant, before it backs off and parks.)
+  while (!Node.hasWaiters())
+    std::this_thread::yield();
   // A new reader must now queue behind the writer.
   EXPECT_FALSE(Node.tryAcquire(Mode::S));
   Node.release(Mode::S);
@@ -153,13 +162,13 @@ TEST(LockNode, WriterNotStarvedByReaders) {
   Node.release(Mode::S);
 }
 
-TEST(LockNode, MixedModeStressCompatibilityInvariant) {
+TEST_P(LockNodeKinds, MixedModeStressCompatibilityInvariant) {
   // 8 threads hammer one node with all five modes. Each thread bumps its
   // mode's holder count after acquiring and drops it before releasing, so
   // while any thread holds the node every incompatible count must read
   // zero — any overlap the compatibility matrix forbids is caught in the
   // window where both holders have their counts up.
-  LockNode Node;
+  LockNode Node(GetParam());
   std::array<std::atomic<unsigned>, NumModes> Held{};
   std::atomic<bool> Bad{false};
   constexpr unsigned NumThreads = 8;
@@ -192,11 +201,11 @@ TEST(LockNode, MixedModeStressCompatibilityInvariant) {
     EXPECT_EQ(Node.grantedCount(static_cast<Mode>(M)), 0u);
 }
 
-TEST(LockNode, WriterBoundedWaitUnderReaderChurn) {
+TEST_P(LockNodeKinds, WriterBoundedWaitUnderReaderChurn) {
   // FIFO anti-starvation: with readers continuously cycling S, a writer
   // that queues must still be granted in bounded time — arrivals after it
   // queue behind it instead of barging.
-  LockNode Node;
+  LockNode Node(GetParam());
   std::atomic<bool> Stop{false};
   std::vector<std::thread> Readers;
   for (unsigned I = 0; I < 4; ++I) {
@@ -223,6 +232,13 @@ TEST(LockNode, WriterBoundedWaitUnderReaderChurn) {
             2000)
       << "writer starved by reader churn";
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    LockNode, LockNodeKinds,
+    ::testing::Values(LockNode::Kind::Leaf, LockNode::Kind::Interior),
+    [](const ::testing::TestParamInfo<LockNode::Kind> &Info) {
+      return Info.param == LockNode::Kind::Leaf ? "Leaf" : "Interior";
+    });
 
 //===----------------------------------------------------------------------===//
 // Protocol
@@ -491,6 +507,178 @@ TEST(Protocol, SteadyStateAcquireAllIsAllocationFree) {
     Section(I);
   EXPECT_EQ(GThreadAllocs, Before)
       << "steady-state acquireAll/releaseAll allocated";
+}
+
+//===----------------------------------------------------------------------===//
+// Intention slots (root and region nodes)
+//===----------------------------------------------------------------------===//
+
+TEST(IntentionSlots, CoarseWriterDrainsFineHolder) {
+  // A fine writer holds region IX in its slot. A coarse writer must
+  // publish region X in the word and then wait for the slot to drain.
+  LockRuntime RT(1);
+  ThreadLockContext Fine(RT);
+  Fine.toAcquire(LockDescriptor::fine(0, 0x40, true));
+  Fine.acquireAll();
+  ASSERT_EQ(RT.regionNode(0).grantedCount(Mode::IX), 1u);
+  std::atomic<bool> Entered{false};
+  std::thread Coarse([&] {
+    ThreadLockContext Ctx(RT);
+    Ctx.toAcquire(LockDescriptor::coarse(0, true));
+    Ctx.acquireAll();
+    Entered.store(true);
+    Ctx.releaseAll();
+  });
+  // Nothing in the word conflicts with X, so X == 1 means the coarse
+  // writer kept its grant and is draining the fine holder's slot. It
+  // must stay there, however long this thread watches.
+  while (RT.regionNode(0).grantedCount(Mode::X) != 1)
+    std::this_thread::yield();
+  for (unsigned I = 0; I < 10000 && !Entered.load(); ++I)
+    std::this_thread::yield();
+  EXPECT_FALSE(Entered.load());
+  Fine.releaseAll();
+  Coarse.join();
+  EXPECT_TRUE(Entered.load());
+  for (unsigned M = 0; M < NumModes; ++M) {
+    EXPECT_EQ(RT.root().grantedCount(static_cast<Mode>(M)), 0u);
+    EXPECT_EQ(RT.regionNode(0).grantedCount(static_cast<Mode>(M)), 0u);
+  }
+}
+
+TEST(IntentionSlots, FineAndCoarseWritersShareOneWord) {
+  // Fine rw on address A (region IX in a slot, leaf X) and coarse rw on
+  // its region (region X in the word) both cover the same word. A broken
+  // slot/word handshake lets the two overlap and lose increments.
+  constexpr unsigned NumThreads = 4;
+  constexpr unsigned Rounds = 20000;
+  LockRuntime RT(1);
+  uint64_t Shared = 0;
+  std::atomic<unsigned> Ready{0};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < NumThreads; ++T) {
+    Threads.emplace_back([&, T] {
+      ThreadLockContext Ctx(RT);
+      // Start together so the two kinds of section really interleave.
+      Ready.fetch_add(1);
+      while (Ready.load() < NumThreads)
+        std::this_thread::yield();
+      for (unsigned I = 0; I < Rounds; ++I) {
+        if ((I + T) % 2)
+          Ctx.toAcquire(LockDescriptor::fine(0, 0x40, true));
+        else
+          Ctx.toAcquire(LockDescriptor::coarse(0, true));
+        Ctx.acquireAll();
+        // A plain read-modify-write with a window between the two.
+        uint64_t V = Shared;
+        for (unsigned Spin = 0; Spin < 8; ++Spin)
+          detail::cpuRelax();
+        Shared = V + 1;
+        Ctx.releaseAll();
+      }
+    });
+  }
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Shared, uint64_t(NumThreads) * Rounds);
+}
+
+TEST(IntentionSlots, GrantedCountSumsSlotsAcrossThreads) {
+  LockRuntime RT(2);
+  LockNode &Root = RT.root();
+  LockNode &Region = RT.regionNode(1);
+  Root.acquire(Mode::IS);
+  Region.acquire(Mode::IX);
+  std::thread Other([&] {
+    Root.acquire(Mode::IS);
+    Root.acquire(Mode::IX);
+    Region.acquire(Mode::IX);
+  });
+  Other.join();
+  EXPECT_EQ(Root.grantedCount(Mode::IS), 2u);
+  EXPECT_EQ(Root.grantedCount(Mode::IX), 1u);
+  EXPECT_EQ(Region.grantedCount(Mode::IX), 2u);
+  EXPECT_EQ(Region.grantedCount(Mode::IS), 0u);
+  // Slot grants conflict with strong modes like word grants do.
+  EXPECT_FALSE(Root.tryAcquire(Mode::X));
+  EXPECT_FALSE(Region.tryAcquire(Mode::S));
+  EXPECT_TRUE(Root.tryAcquire(Mode::IS));
+  Root.release(Mode::IS);
+  // Release from a different thread than the acquire: the acquiring
+  // slots stay up, the releasing ones go negative, the sums are exact.
+  std::thread Releaser([&] {
+    Root.release(Mode::IS);
+    Region.release(Mode::IX);
+  });
+  Releaser.join();
+  EXPECT_EQ(Root.grantedCount(Mode::IS), 1u);
+  EXPECT_EQ(Region.grantedCount(Mode::IX), 1u);
+  Root.release(Mode::IS);
+  Root.release(Mode::IX);
+  Region.release(Mode::IX);
+  for (unsigned M = 0; M < NumModes; ++M) {
+    EXPECT_EQ(Root.grantedCount(static_cast<Mode>(M)), 0u);
+    EXPECT_EQ(Region.grantedCount(static_cast<Mode>(M)), 0u);
+  }
+  EXPECT_TRUE(Root.tryAcquire(Mode::X));
+  Root.release(Mode::X);
+  EXPECT_TRUE(Region.tryAcquire(Mode::X));
+  Region.release(Mode::X);
+}
+
+TEST(IntentionSlots, ReleasesFromThreadsThatNeverAcquiredAreCounted) {
+  // A thread's first slot access may release another thread's grant,
+  // leaving its own slot at -1. Sums read only the slots marked in use,
+  // so that slot must be marked too, or the sum stays above zero and a
+  // strong request never drains. 64 fresh threads take slot indices
+  // round-robin, so they cover slots this thread never touched.
+  LockNode Node(LockNode::Kind::Interior);
+  constexpr unsigned N = 64;
+  for (unsigned I = 0; I < N; ++I)
+    Node.acquire(Mode::IX);
+  EXPECT_EQ(Node.grantedCount(Mode::IX), N);
+  for (unsigned I = 0; I < N; ++I)
+    std::thread([&] { Node.release(Mode::IX); }).join();
+  EXPECT_EQ(Node.grantedCount(Mode::IX), 0u);
+  EXPECT_TRUE(Node.tryAcquire(Mode::X));
+  Node.release(Mode::X);
+}
+
+TEST(IntentionSlots, EscalationDrainsRunningFineSections) {
+  // escalateRegion's region X must drain fine holders out of the slots
+  // and hold new ones back across the layout swap: two threads sharing
+  // one address on the old leaf and on the new stripe would lose
+  // increments.
+  constexpr unsigned NumThreads = 3;
+  constexpr unsigned Rounds = 6000;
+  LockRuntime RT(1);
+  uint64_t Shared = 0;
+  std::atomic<uint64_t> Progress{0};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < NumThreads; ++T) {
+    Threads.emplace_back([&] {
+      ThreadLockContext Ctx(RT);
+      for (unsigned I = 0; I < Rounds; ++I) {
+        Ctx.toAcquire(LockDescriptor::fine(0, 0x40, true));
+        Ctx.acquireAll();
+        Shared = Shared + 1;
+        Ctx.releaseAll();
+        Progress.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (unsigned Swap = 0; Swap < 8; ++Swap) {
+    uint64_t Seen = Progress.load();
+    while (Progress.load() == Seen && Seen < NumThreads * Rounds)
+      std::this_thread::yield();
+    EXPECT_TRUE(RT.escalateRegion(0, 4));
+    EXPECT_NE(RT.regionLayout(0), nullptr);
+    EXPECT_TRUE(RT.deescalateRegion(0));
+  }
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Shared, uint64_t(NumThreads) * Rounds);
+  EXPECT_EQ(RT.regionNode(0).grantedCount(Mode::IX), 0u);
 }
 
 } // namespace
