@@ -169,16 +169,6 @@ const OptionSpec Options[] = {
      [](CliOptions &O, const char *V) {
        return parseUnsigned(V, O.ReadTimeoutMs);
      }},
-    {nullptr, "--service-model", "MODEL",
-     "connection model for --serve: eventloop (default) | threads",
-     [](CliOptions &O, const char *V) {
-       if (!V)
-         return false;
-       if (std::strcmp(V, "eventloop") != 0 && std::strcmp(V, "threads") != 0)
-         return false;
-       O.ServiceModel = V;
-       return true;
-     }},
     {nullptr, "--flightrecord-out", "FILE",
      "write the flight-recorder dump as JSON at drain (--serve)",
      [](CliOptions &O, const char *V) {

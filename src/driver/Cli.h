@@ -65,9 +65,6 @@ struct CliOptions {
   unsigned MaxInflight = 0;        ///< global analyze cap; 0 = queue only
   unsigned TenantQuota = 0;        ///< per-tenant inflight cap; 0 = none
   unsigned ReadTimeoutMs = 0;      ///< mid-frame read deadline; 0 = none
-  /// Connection model: "eventloop" (default) or "threads" (the legacy
-  /// thread-per-connection reference implementation).
-  std::string ServiceModel = "eventloop";
   /// Flight-recorder JSON dump path, written at drain (--serve only).
   std::string FlightRecordOut;
   /// Completed-request summaries the flight recorder retains.

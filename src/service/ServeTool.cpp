@@ -31,9 +31,6 @@ int tool::runServe(const cli::CliOptions &Opts) {
   SO.DefaultK = Opts.K;
   SO.DefaultJobs = Opts.Jobs ? Opts.Jobs : 1;
   SO.FlightCapacity = Opts.FlightCapacity;
-  SO.Model = Opts.ServiceModel == "threads"
-                 ? service::ServerOptions::ServiceModel::ThreadPerConnection
-                 : service::ServerOptions::ServiceModel::EventLoop;
   SO.EventLoops = Opts.EventLoops;
   SO.MaxInflight = Opts.MaxInflight;
   SO.TenantQuota = Opts.TenantQuota;
@@ -66,10 +63,7 @@ int tool::runServe(const cli::CliOptions &Opts) {
                                     : 0)
         .num("workers", SO.Workers)
         .num("queue_depth", SO.QueueDepth)
-        .num("event_loops",
-             SO.Model == service::ServerOptions::ServiceModel::EventLoop
-                 ? SO.EventLoops
-                 : 0)
+        .num("event_loops", SO.EventLoops)
         .num("max_inflight", SO.MaxInflight)
         .num("tenant_quota", SO.TenantQuota);
 

@@ -15,10 +15,10 @@
 #include <cmath>
 #include <csignal>
 #include <cstring>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sstream>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -28,17 +28,20 @@ using namespace lockin::service;
 
 namespace {
 
-/// Self-pipe write end for the signal handler; the handler may only do
-/// async-signal-safe work, so it writes a single byte and returns.
+/// The installing server's wakeup eventfd; the handler may only do
+/// async-signal-safe work, so it adds 1 to the counter and returns.
 std::atomic<int> GSignalFd{-1};
+
+void signalWake(int Fd) {
+  uint64_t One = 1;
+  // Best effort; a saturated counter already means a wakeup is pending.
+  (void)!::write(Fd, &One, sizeof(One));
+}
 
 void onTermSignal(int) {
   int Fd = GSignalFd.load(std::memory_order_relaxed);
-  if (Fd >= 0) {
-    char B = 1;
-    // Best effort; a full pipe already means a wakeup is pending.
-    (void)!::write(Fd, &B, 1);
-  }
+  if (Fd >= 0)
+    signalWake(Fd);
 }
 
 void closeFd(int &Fd) {
@@ -87,13 +90,11 @@ Server::~Server() {
   for (auto &L : Loops)
     L->beginDrain();
   Loops.clear(); // EventLoop dtors join their threads
-  if (GSignalFd.load(std::memory_order_relaxed) == WakePipe[1] &&
-      WakePipe[1] >= 0)
+  if (WakeFd >= 0 && GSignalFd.load(std::memory_order_relaxed) == WakeFd)
     GSignalFd.store(-1, std::memory_order_relaxed);
   closeFd(UnixFd);
   closeFd(TcpFd);
-  closeFd(WakePipe[0]);
-  closeFd(WakePipe[1]);
+  closeFd(WakeFd);
   if (!Opts.UnixSocketPath.empty())
     ::unlink(Opts.UnixSocketPath.c_str());
 }
@@ -103,12 +104,11 @@ bool Server::start(std::string &Err) {
     Err = "no listener configured (need a socket path or a TCP port)";
     return false;
   }
-  if (::pipe(WakePipe) != 0) {
-    Err = std::string("pipe: ") + std::strerror(errno);
+  WakeFd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  if (WakeFd < 0) {
+    Err = std::string("eventfd: ") + std::strerror(errno);
     return false;
   }
-  for (int End : WakePipe)
-    ::fcntl(End, F_SETFL, O_NONBLOCK);
 
   if (!Opts.UnixSocketPath.empty()) {
     sockaddr_un Addr{};
@@ -168,22 +168,20 @@ bool Server::start(std::string &Err) {
         "service.resubmits_served"})
     obs::metrics().counter(Name);
 
-  if (Opts.Model == ServerOptions::ServiceModel::EventLoop) {
-    unsigned NumLoops = std::max(1u, Opts.EventLoops);
-    for (unsigned I = 0; I < NumLoops; ++I) {
-      EventLoop::Config C;
-      C.Index = I;
-      C.ReadTimeoutMs = Opts.ReadTimeoutMs;
-      C.Faults = Opts.Faults;
-      auto L = std::make_unique<EventLoop>(std::move(C), *this);
-      if (!L->start(Err)) {
-        for (auto &Started : Loops)
-          Started->beginDrain();
-        Loops.clear();
-        return false;
-      }
-      Loops.push_back(std::move(L));
+  unsigned NumLoops = std::max(1u, Opts.EventLoops);
+  for (unsigned I = 0; I < NumLoops; ++I) {
+    EventLoop::Config C;
+    C.Index = I;
+    C.ReadTimeoutMs = Opts.ReadTimeoutMs;
+    C.Faults = Opts.Faults;
+    auto L = std::make_unique<EventLoop>(std::move(C), *this);
+    if (!L->start(Err)) {
+      for (auto &Started : Loops)
+        Started->beginDrain();
+      Loops.clear();
+      return false;
     }
+    Loops.push_back(std::move(L));
   }
 
   StartTime = std::chrono::steady_clock::now();
@@ -195,7 +193,7 @@ bool Server::start(std::string &Err) {
 }
 
 void Server::installSignalHandlers() {
-  GSignalFd.store(WakePipe[1], std::memory_order_relaxed);
+  GSignalFd.store(WakeFd, std::memory_order_relaxed);
   struct sigaction SA{};
   SA.sa_handler = onTermSignal;
   sigemptyset(&SA.sa_mask);
@@ -206,10 +204,7 @@ void Server::installSignalHandlers() {
   ::signal(SIGPIPE, SIG_IGN);
 }
 
-void Server::wake() {
-  char B = 1;
-  (void)!::write(WakePipe[1], &B, 1);
-}
+void Server::wake() { signalWake(WakeFd); }
 
 void Server::requestShutdown() {
   beginDrain();
@@ -226,41 +221,22 @@ void Server::beginDrain() {
     obs::log()
         .event(obs::LogLevel::Info, "service.drain_begin")
         .num("requests_served", requestsServed());
-  if (Opts.Model == ServerOptions::ServiceModel::EventLoop) {
-    for (auto &L : Loops)
-      L->beginDrain();
-    return;
-  }
-  // Half-close every connection's read side: requests already read keep
-  // running to completion and their responses still flush through the
-  // intact write side; blocked readers see EOF and wind down.
-  std::lock_guard<std::mutex> Lock(ConnMu);
-  for (int Fd : ConnFds)
-    ::shutdown(Fd, SHUT_RD);
+  for (auto &L : Loops)
+    L->beginDrain();
 }
 
 void Server::run() {
   acceptLoop();
 
   // Drain phase 1: every in-flight request finishes (workers are still
-  // running) and its response flushes before the connection owners exit.
-  if (Opts.Model == ServerOptions::ServiceModel::EventLoop) {
-    for (auto &L : Loops)
-      L->beginDrain(); // idempotent; covers requestShutdown-less exits
-    for (auto &L : Loops)
-      L->join();
-  } else {
-    std::vector<std::thread> Threads;
-    {
-      std::lock_guard<std::mutex> Lock(ConnMu);
-      Threads.swap(ConnThreads);
-    }
-    for (std::thread &T : Threads)
-      T.join();
-  }
+  // running) and its response flushes before the loops exit.
+  for (auto &L : Loops)
+    L->beginDrain(); // idempotent; covers requestShutdown-less exits
+  for (auto &L : Loops)
+    L->join();
 
   // Drain phase 2: the queue is necessarily empty now (every enqueued
-  // job's Done ran before its connection wound down), so the workers can
+  // job replied before its connection wound down), so the workers can
   // stop.
   {
     std::lock_guard<std::mutex> Lock(QueueMu);
@@ -305,7 +281,7 @@ void Server::acceptLoop() {
 
     pollfd Fds[3];
     nfds_t N = 0;
-    Fds[N++] = pollfd{WakePipe[0], POLLIN, 0};
+    Fds[N++] = pollfd{WakeFd, POLLIN, 0};
     int UnixSlot = -1, TcpSlot = -1;
     if (!Throttled) {
       if (UnixFd >= 0) {
@@ -324,10 +300,9 @@ void Server::acceptLoop() {
       break;
     }
     if (Fds[0].revents & POLLIN) {
-      // Signal or requestShutdown: drain the pipe, start the drain.
-      char Buf[64];
-      while (::read(WakePipe[0], Buf, sizeof(Buf)) > 0)
-        ;
+      // Signal or requestShutdown: reset the counter, start the drain.
+      uint64_t Count;
+      (void)!::read(WakeFd, &Count, sizeof(Count));
       beginDrain();
       break;
     }
@@ -346,27 +321,14 @@ void Server::acceptLoop() {
         obs::log()
             .event(obs::LogLevel::Debug, "service.connect")
             .str("peer", Peer);
-      if (Opts.Model == ServerOptions::ServiceModel::EventLoop) {
-        Loops[NextLoopIdx++ % Loops.size()]->adoptConnection(
-            Client, std::move(Peer));
-        continue;
-      }
-      std::lock_guard<std::mutex> Lock(ConnMu);
-      if (Draining.load(std::memory_order_acquire)) {
-        ::close(Client);
-        continue;
-      }
-      ConnFds.push_back(Client);
-      ConnThreads.emplace_back(
-          [this, Client, Peer = std::move(Peer)]() mutable {
-            serveConnection(Client, std::move(Peer));
-          });
+      Loops[NextLoopIdx++ % Loops.size()]->adoptConnection(
+          Client, std::move(Peer));
     }
   }
 }
 
 //===----------------------------------------------------------------------===//
-// Event-loop model: frame dispatch and response retirement
+// Frame dispatch and response retirement
 //===----------------------------------------------------------------------===//
 
 void Server::onFrame(EventLoop &Loop, uint64_t ConnId, uint64_t Seq,
@@ -374,9 +336,8 @@ void Server::onFrame(EventLoop &Loop, uint64_t ConnId, uint64_t Seq,
   Json Request;
   std::string Err;
   if (!Json::parse(Frame, Request, Err)) {
-    // Same contract as the blocking path: answer with the parse error,
-    // then drop the connection — framing is unrecoverable after a
-    // malformed payload.
+    // Answer with the parse error, then drop the connection: framing is
+    // unrecoverable after a malformed payload.
     if constexpr (obs::kEnabled)
       obs::log()
           .event(obs::LogLevel::Warn, "service.bad_frame")
@@ -394,22 +355,11 @@ void Server::onFrame(EventLoop &Loop, uint64_t ConnId, uint64_t Seq,
   std::string Op = Request.getString("op", "");
   countOp(Op);
   if (Op == "analyze" || Op == "check") {
-    EventLoop *LP = &Loop;
-    submitAnalyze(
-        std::move(Request), Peer,
-        [LP, ConnId, Seq](Json &&Resp,
-                          std::unique_ptr<obs::RequestContext> Ctx) {
-          EventLoop::Response R;
-          R.ConnId = ConnId;
-          R.Seq = Seq;
-          R.Payload = Resp.str();
-          R.Ctx = std::move(Ctx);
-          LP->sendResponse(std::move(R));
-        });
+    submitAnalyze(std::move(Request), Peer, ReplyTo{&Loop, ConnId, Seq});
     return;
   }
   bool IsShutdown = false;
-  Json Resp = dispatchInline(Request, IsShutdown, Peer);
+  Json Resp = dispatchInline(Request, IsShutdown);
   EventLoop::Response R;
   R.ConnId = ConnId;
   R.Seq = Seq;
@@ -427,80 +377,10 @@ void Server::onResponseDone(std::unique_ptr<obs::RequestContext> Ctx,
 }
 
 //===----------------------------------------------------------------------===//
-// Legacy thread-per-connection model
+// Cheap inline ops, admission control, the worker pool
 //===----------------------------------------------------------------------===//
 
-void Server::serveConnection(int Fd, std::string Peer) {
-  std::string Err;
-  bool IsShutdown = false;
-  while (!IsShutdown) {
-    Json Request;
-    int Rc = readJson(Fd, Request, Err);
-    if (Rc == 0)
-      break; // clean EOF (or drained SHUT_RD)
-    if (Rc < 0) {
-      // Malformed frame/JSON: answer if the peer is still there, then
-      // drop the connection — framing is unrecoverable after a bad frame.
-      if constexpr (obs::kEnabled)
-        obs::log()
-            .event(obs::LogLevel::Warn, "service.bad_frame")
-            .str("peer", Peer)
-            .str("error", Err);
-      std::string Ignored;
-      writeJson(Fd, errorResponse(Err), Ignored);
-      break;
-    }
-    std::string Op = Request.getString("op", "");
-    countOp(Op);
-    Json Response;
-    std::unique_ptr<obs::RequestContext> Ctx;
-    if (Op == "analyze" || Op == "check") {
-      std::promise<std::pair<Json, std::unique_ptr<obs::RequestContext>>>
-          Prom;
-      auto Fut = Prom.get_future();
-      submitAnalyze(std::move(Request), Peer,
-                    [&Prom](Json &&R,
-                            std::unique_ptr<obs::RequestContext> C) {
-                      Prom.set_value({std::move(R), std::move(C)});
-                    });
-      auto Pair = Fut.get();
-      Response = std::move(Pair.first);
-      Ctx = std::move(Pair.second);
-    } else {
-      Response = dispatchInline(Request, IsShutdown, Peer);
-    }
-    std::string WriteErr;
-    bool WroteOk = writeJson(Fd, Response, WriteErr);
-    finalizeRequest(std::move(Ctx), /*Aborted=*/!WroteOk);
-    if (!WroteOk)
-      break;
-    Served.fetch_add(1, std::memory_order_relaxed);
-  }
-  if constexpr (obs::kEnabled)
-    obs::log()
-        .event(obs::LogLevel::Debug, "service.disconnect")
-        .str("peer", Peer);
-  ::close(Fd);
-  {
-    std::lock_guard<std::mutex> Lock(ConnMu);
-    for (size_t I = 0; I < ConnFds.size(); ++I) {
-      if (ConnFds[I] == Fd) {
-        ConnFds.erase(ConnFds.begin() + I);
-        break;
-      }
-    }
-  }
-  if (IsShutdown)
-    requestShutdown();
-}
-
-//===----------------------------------------------------------------------===//
-// Shared dispatch: cheap inline ops, admission control, the worker pool
-//===----------------------------------------------------------------------===//
-
-Json Server::dispatchInline(const Json &Request, bool &IsShutdown,
-                            const std::string &Peer) {
-  (void)Peer;
+Json Server::dispatchInline(const Json &Request, bool &IsShutdown) {
   std::string Op = Request.getString("op", "");
   if (Op == "ping") {
     Json R = Json::object();
@@ -537,8 +417,18 @@ unsigned Server::retryAfterMsEstimate() const {
   return static_cast<unsigned>(std::min<uint64_t>(Est, 60'000));
 }
 
+void Server::reply(const ReplyTo &To, const Json &Response,
+                   std::unique_ptr<obs::RequestContext> Ctx) {
+  EventLoop::Response R;
+  R.ConnId = To.ConnId;
+  R.Seq = To.Seq;
+  R.Payload = Response.str();
+  R.Ctx = std::move(Ctx);
+  To.Loop->sendResponse(std::move(R));
+}
+
 void Server::submitAnalyze(Json Request, const std::string &Peer,
-                           DoneFn Done) {
+                           ReplyTo To) {
   // "check" is analyze + the concurrency checker: same queue, same
   // worker path, same backpressure; handleAnalyze reads the op back out
   // of the request to set AnalyzeParams::Check.
@@ -585,7 +475,7 @@ void Server::submitAnalyze(Json Request, const std::string &Peer,
       if (Ctx)
         Ctx->begin(obs::ReqPhase::Queue);
       J.Ctx = std::move(Ctx);
-      J.Done = std::move(Done);
+      J.Reply = To;
       Queue.push_back(std::move(J));
     }
   }
@@ -618,13 +508,13 @@ void Server::submitAnalyze(Json Request, const std::string &Peer,
           .num("queue_wait_ns", Ctx->phaseNs(obs::ReqPhase::Queue));
       finishRequest(*Ctx);
       Flight.dump(obs::log(), "overload");
-      Ctx.reset(); // finalized here; Done gets no context
+      Ctx.reset(); // finalized here; the reply carries no context
     }
   }
   Json R = errorResponse("overloaded");
   R.set("retryAfterMs", Json::integer(static_cast<int64_t>(Retry)));
   R.set("reason", Json::string(Reject));
-  Done(std::move(R), nullptr);
+  reply(To, R, nullptr);
 }
 
 void Server::workerLoop() {
@@ -688,7 +578,7 @@ void Server::workerLoop() {
           TenantInflight.erase(It);
       }
     }
-    J.Done(std::move(Response), std::move(J.Ctx));
+    reply(J.Reply, Response, std::move(J.Ctx));
   }
 }
 

@@ -10,15 +10,15 @@
 /// service/Protocol.h, and serves `analyze` requests from a shared
 /// IncrementalAnalyzer backed by the sharded content-hashed SummaryCache.
 ///
-/// Threading model (ServiceModel::EventLoop, the default): one accept
-/// thread (the caller of run()) with a token-bucket accept throttle, N
-/// event-loop threads (service/EventLoop.h) each owning an epoll set of
-/// non-blocking connections, and a fixed worker pool executing `analyze`
-/// jobs from a bounded queue. Cheap ops (ping/stats/invalidate/metrics/
-/// flightrecord/shutdown) run inline on the loop thread. The legacy
-/// thread-per-connection model is retained (ServiceModel::
-/// ThreadPerConnection) as the reference implementation the byte-identity
-/// differential tests compare against.
+/// Threading model: one accept thread (the caller of run()) with a
+/// token-bucket accept throttle, N event-loop threads (service/EventLoop.h)
+/// each owning an epoll set of non-blocking connections, and a fixed
+/// worker pool executing `analyze` jobs from a bounded queue. Cheap ops
+/// (ping/stats/invalidate/metrics/flightrecord/shutdown) run inline on the
+/// loop thread; an analyze job carries its connection's reply slot to the
+/// worker, which answers through that connection's loop. The expected
+/// responses for the golden and fuzz corpora are recorded in
+/// tests/golden/service_replay.jsonl, which the torture suite replays.
 ///
 /// Admission control, applied before a job enters the queue:
 ///   - bounded queue: a full queue answers `{"ok":false,"error":
@@ -38,7 +38,7 @@
 /// pipeline phases, and answers `"error":"timeout"`.
 ///
 /// Graceful drain (SIGTERM or a `shutdown` request): stop accepting,
-/// half-close every connection's read side so no new requests arrive,
+/// half-close every connection's read side so no new frames are read,
 /// let every request already read finish and flush its response, then
 /// stop the workers. Zero in-flight requests are dropped — the drain
 /// test in tests/test_service.cpp asserts exactly this.
@@ -57,8 +57,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -96,17 +94,14 @@ struct ServerOptions {
   /// Completed-request summaries the flight recorder retains.
   size_t FlightCapacity = 256;
 
-  /// Connection-handling model; see the file comment.
-  enum class ServiceModel { EventLoop, ThreadPerConnection };
-  ServiceModel Model = ServiceModel::EventLoop;
-  /// Event-loop threads (EventLoop model only; min 1).
+  /// Event-loop threads (min 1).
   unsigned EventLoops = 2;
   /// Global cap on queued+running analyze jobs; 0 = only QueueDepth caps.
   unsigned MaxInflight = 0;
   /// Per-tenant cap on queued+running analyze jobs; 0 = unlimited.
   unsigned TenantQuota = 0;
-  /// Mid-frame read deadline (slow-loris defense), EventLoop model only;
-  /// 0 disables. Idle connections between frames are never timed out.
+  /// Mid-frame read deadline (slow-loris defense); 0 disables. Idle
+  /// connections between frames are never timed out.
   unsigned ReadTimeoutMs = 0;
   /// Token-bucket accept throttle: sustained accepts/second (0 = off)
   /// and burst size.
@@ -136,8 +131,9 @@ public:
   void requestShutdown();
 
   /// Installs SIGTERM + SIGINT handlers that trigger this server's drain
-  /// through the self-pipe (async-signal-safe: the handler only writes
-  /// one byte). At most one server per process may install handlers.
+  /// through the wakeup eventfd (async-signal-safe: the handler only
+  /// writes one counter increment). At most one server per process may
+  /// install handlers.
   void installSignalHandlers();
 
   /// The bound TCP port (after start(); 0 if no TCP listener).
@@ -160,29 +156,33 @@ public:
   void onShutdownOp() override;
 
 private:
-  /// Response sink for an analyze job: invoked exactly once with the
-  /// response and the request's telemetry context (null when the request
-  /// was rejected at admission — the context was finalized there).
-  using DoneFn =
-      std::function<void(Json &&, std::unique_ptr<obs::RequestContext>)>;
+  /// Where an analyze response goes: the (ConnId, Seq) slot on the loop
+  /// that read the request's frame.
+  struct ReplyTo {
+    EventLoop *Loop = nullptr;
+    uint64_t ConnId = 0;
+    uint64_t Seq = 0;
+  };
 
   struct Job {
     Json Request;
     std::chrono::steady_clock::time_point Deadline{};
     std::string Tenant;
-    DoneFn Done;
+    ReplyTo Reply;
     /// Telemetry carrier; null when telemetry is off. Travels with the
     /// job so the queue wait is part of the request's phase record.
     std::unique_ptr<obs::RequestContext> Ctx;
   };
 
   void acceptLoop();
-  void serveConnection(int Fd, std::string Peer); ///< legacy model
-  /// Admission control + enqueue; rejections invoke Done synchronously.
-  void submitAnalyze(Json Request, const std::string &Peer, DoneFn Done);
+  /// Admission control + enqueue; rejections reply synchronously.
+  void submitAnalyze(Json Request, const std::string &Peer, ReplyTo To);
+  /// Sends an analyze response and its telemetry context (null when the
+  /// request was rejected at admission: the context was finalized there).
+  static void reply(const ReplyTo &To, const Json &Response,
+                    std::unique_ptr<obs::RequestContext> Ctx);
   /// Every op except analyze/check, answered on the calling thread.
-  Json dispatchInline(const Json &Request, bool &IsShutdown,
-                      const std::string &Peer);
+  Json dispatchInline(const Json &Request, bool &IsShutdown);
   Json handleAnalyze(const Json &Request,
                      std::chrono::steady_clock::time_point Deadline,
                      obs::RequestContext *Ctx);
@@ -213,7 +213,7 @@ private:
   int UnixFd = -1;
   int TcpFd = -1;
   int BoundTcpPort = 0;
-  int WakePipe[2] = {-1, -1};
+  int WakeFd = -1; ///< eventfd: signal handler / requestShutdown -> accept
 
   std::atomic<bool> Draining{false};
   std::atomic<uint64_t> Served{0};
@@ -233,10 +233,6 @@ private:
 
   std::vector<std::unique_ptr<EventLoop>> Loops;
   size_t NextLoopIdx = 0; ///< accept thread only
-
-  std::mutex ConnMu; ///< legacy model connection registry
-  std::vector<int> ConnFds;
-  std::vector<std::thread> ConnThreads;
 
   std::chrono::steady_clock::time_point StartTime;
 };

@@ -1031,6 +1031,8 @@ TEST(Server, SigtermDrainsWithZeroDroppedRequests) {
   // still receive its full response — the drain completes in-flight work
   // before the daemon exits.
   std::string Slow = slowProgram(6, 6);
+  obs::Counter &Analyzes = obs::metrics().counter("service.requests.analyze");
+  uint64_t AnalyzesBefore = Analyzes.value();
   std::atomic<unsigned> Answered{0};
   std::vector<std::thread> Clients;
   for (unsigned I = 0; I < 4; ++I) {
@@ -1049,7 +1051,11 @@ TEST(Server, SigtermDrainsWithZeroDroppedRequests) {
       Answered.fetch_add(1);
     });
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // Raise SIGTERM only once the server has read all four frames (the
+  // counter ticks right after a frame is read), so every client's request
+  // is in flight when the drain begins, however slowly the clients start.
+  while (Analyzes.value() < AnalyzesBefore + 4)
+    std::this_thread::yield();
   ASSERT_EQ(std::raise(SIGTERM), 0);
   for (std::thread &T : Clients)
     T.join();

@@ -15,10 +15,10 @@
 ///    slow-loris peer that starts a frame and stalls (read deadline).
 ///  - Resource stability: connection churn leaks no fds and spawns no
 ///    threads (the whole point of the event-loop model).
-///  - Byte-identity differential: every golden and fuzz-corpus input is
-///    replayed through the event-loop server with --event-loops 1/2/4,
-///    and every response must be byte-identical to the reference
-///    thread-per-connection server's, cold and warm.
+///  - Recorded replay: every golden and fuzz-corpus input is replayed
+///    cold then warm through the server with --event-loops 1/2/4, and
+///    every response must be byte-identical to its line in
+///    tests/golden/service_replay.jsonl.
 ///  - Fault injection: EAGAIN storms and 5-byte short writes must not
 ///    corrupt responses; a peer that dies mid-write must abort cleanly
 ///    (telemetry records the abort) without wedging the loop.
@@ -41,6 +41,7 @@
 #include <chrono>
 #include <cstring>
 #include <dirent.h>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -433,7 +434,7 @@ TEST(ServiceTorture, ConnectionChurnLeaksNoFdsAndSpawnsNoThreads) {
 }
 
 //===----------------------------------------------------------------------===//
-// Byte-identity differential vs the thread-per-connection reference
+// Byte identity against the recorded replay
 //===----------------------------------------------------------------------===//
 
 std::vector<std::pair<std::string, std::string>> corpusInputs() {
@@ -485,23 +486,41 @@ std::vector<std::string> replayCorpus(ServerOptions Opts,
   return Out;
 }
 
-TEST(ServiceTorture, EventLoopByteIdenticalToThreadPerConnection) {
-  ASSERT_FALSE(corpusInputs().empty());
+/// The expected replay, one serialized response per line in replayCorpus
+/// order. It was recorded from the daemon's former thread-per-connection
+/// server. On a mismatch the test writes the actual replay into its
+/// working directory; when the change is intended, copy that file over.
+const char *const kRecordedReplay =
+    LOCKIN_TEST_DIR "/golden/service_replay.jsonl";
 
-  ServerOptions Ref;
-  Ref.Model = ServerOptions::ServiceModel::ThreadPerConnection;
-  std::vector<std::string> Reference = replayCorpus(Ref, "threads");
-  ASSERT_FALSE(Reference.empty());
+TEST(ServiceTorture, EventLoopMatchesRecordedReplay) {
+  ASSERT_FALSE(corpusInputs().empty());
+  std::vector<std::string> Expected;
+  {
+    std::ifstream In(kRecordedReplay, std::ios::binary);
+    ASSERT_TRUE(In) << "cannot read " << kRecordedReplay;
+    for (std::string Line; std::getline(In, Line);)
+      Expected.push_back(Line);
+  }
+  ASSERT_FALSE(Expected.empty());
 
   for (unsigned Loops : {1u, 2u, 4u}) {
     std::string Tag = "el" + std::to_string(Loops);
     ServerOptions O;
-    O.Model = ServerOptions::ServiceModel::EventLoop;
     O.EventLoops = Loops;
     std::vector<std::string> Got = replayCorpus(O, Tag);
-    ASSERT_EQ(Got.size(), Reference.size()) << Tag;
+    if (Got != Expected) {
+      std::filesystem::path Actual = std::filesystem::current_path() /
+                                     ("service_replay." + Tag + ".jsonl");
+      std::ofstream Out(Actual, std::ios::binary);
+      for (const std::string &Line : Got)
+        Out << Line << '\n';
+      ADD_FAILURE() << Tag << ": replay differs from " << kRecordedReplay
+                    << "; actual replay written to " << Actual.string();
+    }
+    ASSERT_EQ(Got.size(), Expected.size()) << Tag;
     for (size_t I = 0; I < Got.size(); ++I)
-      EXPECT_EQ(Got[I], Reference[I]) << Tag << " response " << I;
+      EXPECT_EQ(Got[I], Expected[I]) << Tag << " response " << I;
   }
 }
 
