@@ -19,7 +19,8 @@ using namespace lockin;
 std::string Compilation::transformedText() const {
   if (!Transformed.empty() || !Module)
     return Transformed;
-  // Failure paths skip the transform pass; print on demand.
+  // Failure paths and compiles without inference skip the transform
+  // pass; print on demand.
   const InferenceResult *Result = Inference.get();
   return ir::printIrModule(*Module, [Result](uint32_t SectionId) {
     return Result ? Result->annotate(SectionId) : std::string();
@@ -131,12 +132,15 @@ std::unique_ptr<Compilation> lockin::compile(std::string_view Source,
     }
   }
 
-  C->Transformed = PM.run("transform", [&] {
-    const InferenceResult *Result = C->Inference.get();
-    return ir::printIrModule(*C->Module, [Result](uint32_t SectionId) {
-      return Result ? Result->annotate(SectionId) : std::string();
+  // Without inference there is nothing to annotate: the front-half caller
+  // (the daemon) renders its own report from cached lock text.
+  if (C->Inference)
+    C->Transformed = PM.run("transform", [&] {
+      const InferenceResult *Result = C->Inference.get();
+      return ir::printIrModule(*C->Module, [Result](uint32_t SectionId) {
+        return Result->annotate(SectionId);
+      });
     });
-  });
 
   C->Ok = true;
   C->Stats.Passes = PM.timings();

@@ -450,10 +450,12 @@ private:
 
 class IrFunction {
 public:
-  IrFunction(std::string Name, Type *ReturnTy)
-      : Name(std::move(Name)), ReturnTy(ReturnTy) {}
+  IrFunction(std::string Name, Type *ReturnTy, unsigned Index)
+      : Name(std::move(Name)), ReturnTy(ReturnTy), Index(Index) {}
 
   const std::string &name() const { return Name; }
+  /// Position in the owning module's functions().
+  unsigned index() const { return Index; }
   Type *returnType() const { return ReturnTy; }
 
   Variable *addVariable(std::string VarName, Type *Ty, bool IsParam) {
@@ -490,6 +492,7 @@ public:
 private:
   std::string Name;
   Type *ReturnTy;
+  unsigned Index;
   std::vector<std::unique_ptr<Variable>> Vars;
   unsigned ParamCount = 0;
   Variable *RetVar = nullptr;
@@ -530,8 +533,8 @@ public:
   }
 
   IrFunction *addFunction(std::string Name, Type *ReturnTy) {
-    Functions.push_back(std::make_unique<IrFunction>(std::move(Name),
-                                                     ReturnTy));
+    Functions.push_back(std::make_unique<IrFunction>(
+        std::move(Name), ReturnTy, static_cast<unsigned>(Functions.size())));
     FunctionMap[Functions.back()->name()] = Functions.back().get();
     return Functions.back().get();
   }

@@ -9,8 +9,6 @@
 using namespace lockin;
 using namespace lockin::ir;
 
-static std::string pad(unsigned Indent) { return std::string(Indent * 2, ' '); }
-
 static const char *intBinOpSpelling(IntBinOp Op) {
   switch (Op) {
   case IntBinOp::Add:
@@ -45,140 +43,182 @@ static const char *cmpOpSpelling(CmpOp Op) {
   return "?";
 }
 
-std::string ir::printIrStmt(const IrStmt *S, unsigned Indent,
-                            const SectionAnnotator &Annotate) {
-  std::string P = pad(Indent);
+namespace {
+
+/// Appends the IR text of one statement tree to a single output buffer:
+/// every level appends in place, so printing is linear in the output.
+class StmtPrinter {
+public:
+  StmtPrinter(std::string &Out, const SectionAnnotator &Annotate)
+      : Out(Out), Annotate(Annotate) {}
+
+  void print(const IrStmt *S, unsigned Indent);
+
+private:
+  template <typename... Parts> void put(const Parts &...Ps) {
+    (Out += ... += Ps);
+  }
+  template <typename... Parts> void line(unsigned Indent, const Parts &...Ps) {
+    Out.append(Indent * 2, ' ');
+    put(Ps...);
+  }
+  /// The argument list of a call or spawn, and the line's end.
+  void args(const std::vector<Variable *> &Args) {
+    for (size_t I = 0; I < Args.size(); ++I)
+      put(I == 0 ? "" : ", ", Args[I]->name());
+    put(");\n");
+  }
+
+  std::string &Out;
+  const SectionAnnotator &Annotate;
+};
+
+void StmtPrinter::print(const IrStmt *S, unsigned Indent) {
   switch (S->kind()) {
   case IrStmt::Kind::Copy: {
     const auto *C = cast<CopyStmt>(S);
-    return P + C->def()->name() + " = " + C->src()->name() + ";\n";
+    line(Indent, C->def()->name(), " = ", C->src()->name(), ";\n");
+    return;
   }
   case IrStmt::Kind::ConstInt: {
     const auto *C = cast<ConstIntStmt>(S);
-    return P + C->def()->name() + " = " + std::to_string(C->value()) + ";\n";
+    line(Indent, C->def()->name(), " = ", std::to_string(C->value()), ";\n");
+    return;
   }
   case IrStmt::Kind::ConstNull:
-    return P + cast<ConstNullStmt>(S)->def()->name() + " = null;\n";
+    line(Indent, cast<ConstNullStmt>(S)->def()->name(), " = null;\n");
+    return;
   case IrStmt::Kind::AddrOf: {
     const auto *A = cast<AddrOfStmt>(S);
-    return P + A->def()->name() + " = &" + A->target()->name() + ";\n";
+    line(Indent, A->def()->name(), " = &", A->target()->name(), ";\n");
+    return;
   }
   case IrStmt::Kind::FieldAddr: {
     const auto *F = cast<FieldAddrStmt>(S);
-    return P + F->def()->name() + " = " + F->base()->name() + " + ." +
-           F->fieldName() + ";\n";
+    line(Indent, F->def()->name(), " = ", F->base()->name(), " + .",
+         F->fieldName(), ";\n");
+    return;
   }
   case IrStmt::Kind::IndexAddr: {
     const auto *Ix = cast<IndexAddrStmt>(S);
-    return P + Ix->def()->name() + " = " + Ix->base()->name() + " @ " +
-           Ix->index()->name() + ";\n";
+    line(Indent, Ix->def()->name(), " = ", Ix->base()->name(), " @ ",
+         Ix->index()->name(), ";\n");
+    return;
   }
   case IrStmt::Kind::Load: {
     const auto *L = cast<LoadStmt>(S);
-    return P + L->def()->name() + " = *" + L->addr()->name() + ";\n";
+    line(Indent, L->def()->name(), " = *", L->addr()->name(), ";\n");
+    return;
   }
   case IrStmt::Kind::Store: {
     const auto *St = cast<StoreStmt>(S);
-    return P + "*" + St->addr()->name() + " = " + St->value()->name() +
-           ";\n";
+    line(Indent, "*", St->addr()->name(), " = ", St->value()->name(), ";\n");
+    return;
   }
   case IrStmt::Kind::Alloc: {
     const auto *A = cast<AllocStmt>(S);
-    std::string Out = P + A->def()->name() + " = new#" +
-                      std::to_string(A->siteId());
+    line(Indent, A->def()->name(), " = new#", std::to_string(A->siteId()));
     if (A->sizeVar())
-      Out += "[" + A->sizeVar()->name() + "]";
-    return Out + ";\n";
+      put("[", A->sizeVar()->name(), "]");
+    put(";\n");
+    return;
   }
   case IrStmt::Kind::IntBin: {
     const auto *B = cast<IntBinStmt>(S);
-    return P + B->def()->name() + " = " + B->lhs()->name() + " " +
-           intBinOpSpelling(B->op()) + " " + B->rhs()->name() + ";\n";
+    line(Indent, B->def()->name(), " = ", B->lhs()->name(), " ",
+         intBinOpSpelling(B->op()), " ", B->rhs()->name(), ";\n");
+    return;
   }
   case IrStmt::Kind::Cmp: {
     const auto *C = cast<CmpStmt>(S);
-    return P + C->def()->name() + " = " + C->lhs()->name() + " " +
-           cmpOpSpelling(C->op()) + " " + C->rhs()->name() + ";\n";
+    line(Indent, C->def()->name(), " = ", C->lhs()->name(), " ",
+         cmpOpSpelling(C->op()), " ", C->rhs()->name(), ";\n");
+    return;
   }
   case IrStmt::Kind::Call: {
     const auto *C = cast<CallStmt>(S);
-    std::string Out = P;
     if (C->def())
-      Out += C->def()->name() + " = ";
-    Out += C->callee()->name() + "(";
-    for (size_t I = 0; I < C->args().size(); ++I) {
-      if (I != 0)
-        Out += ", ";
-      Out += C->args()[I]->name();
-    }
-    return Out + ");\n";
+      line(Indent, C->def()->name(), " = ", C->callee()->name(), "(");
+    else
+      line(Indent, C->callee()->name(), "(");
+    args(C->args());
+    return;
   }
-  case IrStmt::Kind::Seq: {
-    std::string Out;
+  case IrStmt::Kind::Seq:
     for (const IrStmtPtr &Child : cast<SeqStmt>(S)->stmts())
-      Out += printIrStmt(Child.get(), Indent, Annotate);
-    return Out;
-  }
+      print(Child.get(), Indent);
+    return;
   case IrStmt::Kind::If: {
     const auto *I = cast<IfIrStmt>(S);
-    std::string Out = P + "if (" + I->condVar()->name() + ") {\n" +
-                      printIrStmt(I->thenStmt(), Indent + 1, Annotate) + P +
-                      "}";
-    if (I->elseStmt())
-      Out += " else {\n" + printIrStmt(I->elseStmt(), Indent + 1, Annotate) +
-             P + "}";
-    return Out + "\n";
+    line(Indent, "if (", I->condVar()->name(), ") {\n");
+    print(I->thenStmt(), Indent + 1);
+    line(Indent, "}");
+    if (I->elseStmt()) {
+      put(" else {\n");
+      print(I->elseStmt(), Indent + 1);
+      line(Indent, "}");
+    }
+    put("\n");
+    return;
   }
   case IrStmt::Kind::While: {
     const auto *W = cast<WhileIrStmt>(S);
-    return P + "loop {\n" + printIrStmt(W->prelude(), Indent + 1, Annotate) +
-           pad(Indent + 1) + "if (!" + W->condVar()->name() + ") break;\n" +
-           printIrStmt(W->body(), Indent + 1, Annotate) + P + "}\n";
+    line(Indent, "loop {\n");
+    print(W->prelude(), Indent + 1);
+    line(Indent + 1, "if (!", W->condVar()->name(), ") break;\n");
+    print(W->body(), Indent + 1);
+    line(Indent, "}\n");
+    return;
   }
   case IrStmt::Kind::Atomic: {
     const auto *A = cast<AtomicIrStmt>(S);
     std::string Annotation = Annotate ? Annotate(A->sectionId()) : "";
     if (Annotation.empty()) {
-      return P + "atomic #" + std::to_string(A->sectionId()) + " {\n" +
-             printIrStmt(A->body(), Indent + 1, Annotate) + P + "}\n";
+      line(Indent, "atomic #", std::to_string(A->sectionId()), " {\n");
+      print(A->body(), Indent + 1);
+      line(Indent, "}\n");
+      return;
     }
-    return P + "acquireAll(" + Annotation + ");\n" +
-           printIrStmt(A->body(), Indent, Annotate) + P + "releaseAll();\n";
+    line(Indent, "acquireAll(", Annotation, ");\n");
+    print(A->body(), Indent);
+    line(Indent, "releaseAll();\n");
+    return;
   }
   case IrStmt::Kind::Return: {
     const auto *R = cast<ReturnIrStmt>(S);
     if (!R->value())
-      return P + "return;\n";
-    return P + "return " + R->value()->name() + ";\n";
+      line(Indent, "return;\n");
+    else
+      line(Indent, "return ", R->value()->name(), ";\n");
+    return;
   }
   case IrStmt::Kind::Spawn: {
     const auto *Sp = cast<SpawnIrStmt>(S);
-    std::string Out = P + "spawn " + Sp->callee()->name() + "(";
-    for (size_t I = 0; I < Sp->args().size(); ++I) {
-      if (I != 0)
-        Out += ", ";
-      Out += Sp->args()[I]->name();
-    }
-    return Out + ");\n";
+    line(Indent, "spawn ", Sp->callee()->name(), "(");
+    args(Sp->args());
+    return;
   }
   case IrStmt::Kind::Assert:
-    return P + "assert(" + cast<AssertIrStmt>(S)->condVar()->name() + ");\n";
+    line(Indent, "assert(", cast<AssertIrStmt>(S)->condVar()->name(),
+         ");\n");
+    return;
   }
-  return P + "<?>;\n";
+  line(Indent, "<?>;\n");
 }
 
-std::string ir::printIrFunction(const IrFunction &F,
-                                const SectionAnnotator &Annotate) {
-  std::string Out = F.returnType()->str() + " " + F.name() + "(";
+} // namespace
+
+void ir::printIrFunction(const IrFunction &F, std::string &Out,
+                         const SectionAnnotator &Annotate) {
+  Out += F.returnType()->str() + " " + F.name() + "(";
   for (unsigned I = 0; I < F.numParams(); ++I) {
     if (I != 0)
       Out += ", ";
     Out += F.param(I)->type()->str() + " " + F.param(I)->name();
   }
   Out += ") {\n";
-  Out += printIrStmt(F.body(), 1, Annotate);
+  StmtPrinter(Out, Annotate).print(F.body(), 1);
   Out += "}\n";
-  return Out;
 }
 
 std::string ir::printIrModule(const IrModule &M,
@@ -189,7 +229,7 @@ std::string ir::printIrModule(const IrModule &M,
   if (!M.globals().empty())
     Out += "\n";
   for (const auto &F : M.functions()) {
-    Out += printIrFunction(*F, Annotate);
+    printIrFunction(*F, Out, Annotate);
     Out += "\n";
   }
   return Out;

@@ -19,13 +19,10 @@ namespace ir {
 /// When absent (or returning ""), sections print as plain `atomic`.
 using SectionAnnotator = std::function<std::string(uint32_t SectionId)>;
 
-/// Renders \p S with the given indent.
-std::string printIrStmt(const IrStmt *S, unsigned Indent = 0,
-                        const SectionAnnotator &Annotate = {});
-
-/// Renders one function.
-std::string printIrFunction(const IrFunction &F,
-                            const SectionAnnotator &Annotate = {});
+/// Appends one function to \p Out. Printing appends in place, so it takes
+/// time linear in the text it produces, however deep the nesting.
+void printIrFunction(const IrFunction &F, std::string &Out,
+                     const SectionAnnotator &Annotate = {});
 
 /// Renders the whole module. With an annotator this shows the transformed
 /// output program: atomic sections become acquireAll(...)/releaseAll pairs.

@@ -6,15 +6,14 @@
 
 #include "pointsto/Steensgaard.h"
 
-#include <algorithm>
-#include <cassert>
+#include <string_view>
 
 using namespace lockin;
 using namespace lockin::ir;
 
 static constexpr uint32_t NoCell = ~0u;
 
-PointsToAnalysis::Cell PointsToAnalysis::find(Cell C) const {
+PointsToAnalysis::Cell PointsToAnalysis::find(Cell C) {
   while (Parent[C] != C) {
     Parent[C] = Parent[Parent[C]];
     C = Parent[C];
@@ -58,9 +57,17 @@ PointsToAnalysis::Cell PointsToAnalysis::pointeeCell(Cell C) {
 
 PointsToAnalysis::Cell
 PointsToAnalysis::cellOfVar(const ir::Variable *V) const {
-  auto It = VarCells.find(V);
-  assert(It != VarCells.end() && "variable has no cell");
-  return It->second;
+  if (V->isGlobal()) {
+    const auto &Globals = Module.globals();
+    return V->id() < Globals.size() && Globals[V->id()].get() == V ? V->id()
+                                                                   : NoCell;
+  }
+  const IrFunction *F = V->owner();
+  if (!F || F->index() + 1 >= FunctionBase.size() ||
+      Module.functions()[F->index()].get() != F)
+    return NoCell;
+  Cell C = FunctionBase[F->index()] + V->id();
+  return C < FunctionBase[F->index() + 1] ? C : NoCell;
 }
 
 void PointsToAnalysis::processStmt(const IrStmt *S) {
@@ -100,7 +107,7 @@ void PointsToAnalysis::processStmt(const IrStmt *S) {
   }
   case IrStmt::Kind::Alloc: {
     const auto *A = cast<AllocStmt>(S);
-    unify(pointeeCell(cellOfVar(A->def())), AllocCells[A->siteId()]);
+    unify(pointeeCell(cellOfVar(A->def())), FirstSiteCell + A->siteId());
     return;
   }
   case IrStmt::Kind::Call: {
@@ -191,23 +198,19 @@ static void collectReturns(const IrStmt *S,
 }
 
 PointsToAnalysis::PointsToAnalysis(const IrModule &M) : Module(M) {
-  // Create cells in a canonical order: globals, alloc sites, then each
-  // function's variables.
-  auto NewCell = [&]() {
-    Cell C = static_cast<Cell>(Parent.size());
-    Parent.push_back(C);
-    Pointee.push_back(NoCell);
-    return C;
-  };
-
-  for (const auto &G : M.globals())
-    VarCells[G.get()] = NewCell();
-  AllocCells.reserve(M.allocSites().size());
-  for (size_t I = 0; I < M.allocSites().size(); ++I)
-    AllocCells.push_back(NewCell());
-  for (const auto &F : M.functions())
-    for (const auto &V : F->variables())
-      VarCells[V.get()] = NewCell();
+  // Create the location cells in their canonical order (see the header).
+  FirstSiteCell = static_cast<Cell>(M.globals().size());
+  Cell NumCells = FirstSiteCell + static_cast<Cell>(M.allocSites().size());
+  FunctionBase.reserve(M.functions().size() + 1);
+  for (const auto &F : M.functions()) {
+    FunctionBase.push_back(NumCells);
+    NumCells += static_cast<Cell>(F->variables().size());
+  }
+  FunctionBase.push_back(NumCells);
+  Parent.resize(NumCells);
+  for (Cell C = 0; C < NumCells; ++C)
+    Parent[C] = C;
+  Pointee.assign(NumCells, NoCell);
 
   // One pass over every statement; unification is order-insensitive.
   for (const auto &F : M.functions()) {
@@ -224,75 +227,43 @@ PointsToAnalysis::PointsToAnalysis(const IrModule &M) : Module(M) {
   }
 
   // Number the regions: walk location cells in creation order; each root
-  // gets an id the first time it is seen. Pointee links are resolved after
-  // all ids exist.
-  auto AddRegion = [&](Cell Root, const std::string &MemberName) {
-    auto [It, Inserted] = RegionOfRoot.try_emplace(
-        Root, static_cast<RegionId>(RegionPointee.size()));
-    if (Inserted) {
+  // gets an id the first time it is seen.
+  std::vector<RegionId> RegionOfRoot(Parent.size(), InvalidRegion);
+  std::vector<Cell> RegionRoot; // region -> root cell
+  auto RegionOf = [&](Cell Root) {
+    if (RegionOfRoot[Root] == InvalidRegion) {
+      RegionOfRoot[Root] = static_cast<RegionId>(RegionRoot.size());
+      RegionRoot.push_back(Root);
       RegionPointee.push_back(InvalidRegion);
-      RegionNames.emplace_back();
     }
-    std::string &Name = RegionNames[It->second];
-    if (Name.size() < 80) {
-      if (!Name.empty())
-        Name += ",";
-      Name += MemberName;
-    }
+    return RegionOfRoot[Root];
   };
-
-  for (const auto &G : M.globals())
-    AddRegion(find(VarCells[G.get()]), "&" + G->name());
-  for (size_t I = 0; I < M.allocSites().size(); ++I)
-    AddRegion(find(AllocCells[I]), "new#" + std::to_string(I));
-  for (const auto &F : M.functions())
-    for (const auto &V : F->variables())
-      AddRegion(find(VarCells[V.get()]), "&" + F->name() + "::" + V->name());
+  CellRegion.resize(NumCells);
+  for (Cell C = 0; C < NumCells; ++C)
+    CellRegion[C] = RegionOf(find(C));
 
   // A pointee class that contains no variable or allocation site can still
-  // be dereferenced through (e.g. chains built only from other pointees);
-  // give every reachable pointee a region as well. Iterate to closure.
-  size_t Before;
-  do {
-    Before = RegionOfRoot.size();
-    std::vector<std::pair<Cell, RegionId>> Roots(RegionOfRoot.begin(),
-                                                 RegionOfRoot.end());
-    std::sort(Roots.begin(), Roots.end(),
-              [](const auto &A, const auto &B) {
-                return A.second < B.second;
-              });
-    for (const auto &[Root, Id] : Roots) {
-      Cell P = Pointee[Root];
-      if (P == NoCell)
-        continue;
-      AddRegion(find(P), "*region" + std::to_string(Id));
-    }
-  } while (RegionOfRoot.size() != Before);
-
-  // Resolve deref links.
-  for (const auto &[Root, Id] : RegionOfRoot) {
-    Cell P = Pointee[Root];
+  // be dereferenced through (e.g. chains built only from other pointees):
+  // every reachable pointee gets a region too. Regions are visited in id
+  // order while new ones are appended, which reaches the closure.
+  for (RegionId R = 0; R < RegionRoot.size(); ++R) {
+    Cell P = Pointee[RegionRoot[R]];
     if (P == NoCell)
       continue;
-    auto It = RegionOfRoot.find(find(P));
-    if (It != RegionOfRoot.end())
-      RegionPointee[Id] = It->second;
+    RegionId Target = RegionOf(find(P));
+    RegionPointee[R] = Target;
   }
 }
 
 RegionId PointsToAnalysis::regionOfVarCell(const ir::Variable *V) const {
-  auto It = VarCells.find(V);
-  if (It == VarCells.end())
-    return InvalidRegion;
-  auto RIt = RegionOfRoot.find(find(It->second));
-  return RIt == RegionOfRoot.end() ? InvalidRegion : RIt->second;
+  Cell C = cellOfVar(V);
+  return C == NoCell ? InvalidRegion : CellRegion[C];
 }
 
 RegionId PointsToAnalysis::regionOfAllocSite(uint32_t SiteId) const {
-  if (SiteId >= AllocCells.size())
+  if (SiteId >= Module.allocSites().size())
     return InvalidRegion;
-  auto It = RegionOfRoot.find(find(AllocCells[SiteId]));
-  return It == RegionOfRoot.end() ? InvalidRegion : It->second;
+  return CellRegion[FirstSiteCell + SiteId];
 }
 
 RegionId PointsToAnalysis::derefRegion(RegionId R) const {
@@ -304,7 +275,28 @@ RegionId PointsToAnalysis::derefRegion(RegionId R) const {
 std::string PointsToAnalysis::describeRegion(RegionId R) const {
   if (R == InvalidRegion)
     return "<invalid>";
-  if (R >= RegionNames.size())
+  if (R >= numRegions())
     return "<out-of-range>";
-  return "{" + RegionNames[R] + "}";
+  std::string Members;
+  auto Add = [&](std::string_view Prefix, std::string_view Name) {
+    if (Members.size() >= 80)
+      return;
+    if (!Members.empty())
+      Members += ",";
+    Members.append(Prefix).append(Name);
+  };
+  for (const auto &G : Module.globals())
+    if (regionOfVarCell(G.get()) == R)
+      Add("&", G->name());
+  for (const AllocSite &Site : Module.allocSites())
+    if (regionOfAllocSite(Site.Id) == R)
+      Add("new#", std::to_string(Site.Id));
+  for (const auto &F : Module.functions())
+    for (const auto &V : F->variables())
+      if (regionOfVarCell(V.get()) == R)
+        Add("&" + F->name() + "::", V->name());
+  for (RegionId From = 0; From < numRegions(); ++From)
+    if (RegionPointee[From] == R)
+      Add("*region", std::to_string(From));
+  return "{" + Members + "}";
 }

@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace lockin {
@@ -35,7 +34,7 @@ namespace lockin {
 using RegionId = uint32_t;
 constexpr RegionId InvalidRegion = ~0u;
 
-/// Runs on construction; all queries are O(alpha) afterwards.
+/// Runs on construction; region queries afterwards are array reads.
 class PointsToAnalysis {
 public:
   explicit PointsToAnalysis(const ir::IrModule &M);
@@ -63,30 +62,35 @@ public:
     return A != InvalidRegion && A == B;
   }
 
-  /// Debug rendering: the variables and allocation sites in \p R.
+  /// Debug rendering: the variables, allocation sites and regions whose
+  /// deref lands in \p R. Built on demand from the cell table; the
+  /// member list stops after about 80 characters.
   std::string describeRegion(RegionId R) const;
 
 private:
   using Cell = uint32_t;
 
-  Cell find(Cell C) const;
+  Cell find(Cell C);
   void unify(Cell A, Cell B);
   Cell pointeeCell(Cell C);
+  /// The cell of &V, or ~0u when \p V is not a variable of this module.
   Cell cellOfVar(const ir::Variable *V) const;
 
   void processStmt(const ir::IrStmt *S);
 
-  // Union-find state. Parent/pointee are indexed by cell.
-  mutable std::vector<Cell> Parent;
+  // Union-find state, used while solving. Parent/pointee are indexed by
+  // cell. Location cells come first, in a fixed order: globals (cell =
+  // global id), allocation sites, then each function's variables (cell =
+  // FunctionBase[function index] + variable id). Pointee-only cells
+  // follow.
+  std::vector<Cell> Parent;
   std::vector<Cell> Pointee; // ~0u when absent; valid only at roots.
+  Cell FirstSiteCell = 0;
+  std::vector<Cell> FunctionBase; // by function index, plus one end cell
 
-  std::unordered_map<const ir::Variable *, Cell> VarCells;
-  std::vector<Cell> AllocCells; // indexed by alloc-site id
-
-  // Region numbering, assigned after unification completes.
-  std::unordered_map<Cell, RegionId> RegionOfRoot;
-  std::vector<RegionId> RegionPointee;   // region -> deref region
-  std::vector<std::string> RegionNames;  // region -> debug description
+  // Answers, final once the constructor returns.
+  std::vector<RegionId> CellRegion;    // location cell -> region
+  std::vector<RegionId> RegionPointee; // region -> deref region
 
   const ir::IrModule &Module;
 };

@@ -10,7 +10,7 @@
 #include "service/Hash.h"
 
 #include <algorithm>
-#include <set>
+#include <string_view>
 
 using namespace lockin;
 using namespace lockin::service;
@@ -28,13 +28,16 @@ ModuleFingerprint::ModuleFingerprint(const ir::IrModule &M,
                                      const PointsToAnalysis &PT)
     : M(M), CG(CG), PT(PT) {
   FnHash.resize(CG.numFunctions());
+  std::string Text; // one buffer, reused for every function
   for (unsigned I = 0; I < CG.numFunctions(); ++I) {
     const ir::IrFunction *F = CG.function(I);
     Fnv1a H;
     H.str(F->name());
     // Normalized IR, not raw source: whitespace and comment edits keep
     // the hash; temp numbering is deterministic per function body.
-    H.str(ir::printIrFunction(*F));
+    Text.clear();
+    ir::printIrFunction(*F, Text);
+    H.str(Text);
     FnHash[I] = H.get();
   }
   // SCC ids ascend bottom-up, so every callee SCC's hash is final before
@@ -82,15 +85,16 @@ uint64_t ModuleFingerprint::regionSignature(unsigned Scc) {
 
   const std::vector<unsigned> &Fns = closureFunctions(Scc);
   Fnv1a H;
-  std::set<RegionId> Chased;
+  std::vector<char> Chased(PT.numRegions(), 0);
   // Emit a region id and everything reachable from it by deref; the
   // deref chain stops at the first region already chased (its own chain
   // was emitted when it was first seen) or at InvalidRegion.
   auto Chase = [&](RegionId R) {
     while (true) {
       H.u32(R == InvalidRegion ? ~0u : R);
-      if (R == InvalidRegion || !Chased.insert(R).second)
+      if (R == InvalidRegion || Chased[R])
         return;
+      Chased[R] = 1;
       R = PT.derefRegion(R);
     }
   };
@@ -105,11 +109,14 @@ uint64_t ModuleFingerprint::regionSignature(unsigned Scc) {
   for (const auto &G : M.globals())
     Chase(PT.regionOfVarCell(G.get()));
   // Allocation sites lexically inside closure functions.
-  std::set<std::string> ClosureNames;
+  std::vector<std::string_view> ClosureNames;
+  ClosureNames.reserve(Fns.size());
   for (unsigned FnIdx : Fns)
-    ClosureNames.insert(CG.function(FnIdx)->name());
+    ClosureNames.push_back(CG.function(FnIdx)->name());
+  std::sort(ClosureNames.begin(), ClosureNames.end());
   for (const ir::AllocSite &Site : M.allocSites())
-    if (ClosureNames.count(Site.InFunction))
+    if (std::binary_search(ClosureNames.begin(), ClosureNames.end(),
+                           std::string_view(Site.InFunction)))
       Chase(PT.regionOfAllocSite(Site.Id));
 
   uint64_t Sig = H.get();

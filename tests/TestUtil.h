@@ -11,11 +11,27 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 
 namespace lockin {
 namespace test {
+
+/// The whole contents of \p Path; fails the test when it cannot be opened.
+inline std::string readFile(const std::string &Path) {
+  std::ifstream In(Path);
+  EXPECT_TRUE(In.good()) << "cannot open " << Path;
+  std::stringstream Buffer;
+  Buffer << In.rdbuf();
+  return Buffer.str();
+}
+
+/// tests/golden/, with the trailing slash.
+inline std::string goldenDir() {
+  return std::string(LOCKIN_TEST_DIR) + "/golden/";
+}
 
 /// Compiles \p Source and fails the test on any diagnostic.
 inline std::unique_ptr<Compilation> compileOk(const std::string &Source,

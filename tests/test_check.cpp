@@ -28,8 +28,6 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
 #include <string>
 
 using namespace lockin;
@@ -37,16 +35,6 @@ using namespace lockin::check;
 using namespace lockin::test;
 
 namespace {
-
-std::string readFile(const std::string &Path) {
-  std::ifstream In(Path);
-  EXPECT_TRUE(In.good()) << "cannot open " << Path;
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  return Buffer.str();
-}
-
-std::string goldenDir() { return std::string(LOCKIN_TEST_DIR) + "/golden/"; }
 
 std::unique_ptr<Compilation> compileChecked(const std::string &Source,
                                             bool Elide = false,

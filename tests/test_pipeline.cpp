@@ -22,13 +22,12 @@
 
 #include "TestUtil.h"
 #include "driver/Cli.h"
+#include "ir/IrPrinter.h"
 #include "workloads/ToyPrograms.h"
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <initializer_list>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -36,16 +35,6 @@ using namespace lockin;
 using namespace lockin::test;
 
 namespace {
-
-std::string readFile(const std::string &Path) {
-  std::ifstream In(Path);
-  EXPECT_TRUE(In.good()) << "cannot open " << Path;
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  return Buffer.str();
-}
-
-std::string goldenDir() { return std::string(LOCKIN_TEST_DIR) + "/golden/"; }
 
 void checkGolden(const std::string &Name, unsigned Jobs) {
   std::string Source = readFile(goldenDir() + Name + ".atom");
@@ -162,6 +151,29 @@ TEST(PipelineStats, PassesAndCountersArePopulated) {
   EXPECT_GT(Inf.Summaries.SccFixpointRounds, 0u);
   EXPECT_GT(Inf.TransferCacheHits + Inf.TransferCacheMisses, 0u);
   EXPECT_EQ(C->inference().sections().size(), 2u);
+}
+
+TEST(PipelineStats, FrontHalfCompileRendersNothing) {
+  // Without inference nothing is annotated, so the compile stops after
+  // points-to and the text is printed only when someone asks for it.
+  std::string Source = readFile(goldenDir() + "mutual3.atom");
+  CompileOptions Options;
+  Options.Jobs = 1;
+  Options.InferLocks = false;
+  std::unique_ptr<Compilation> Front = compile(Source, Options);
+  ASSERT_TRUE(Front->ok()) << Front->diagnostics().str();
+  const std::vector<PassTiming> &Passes = Front->pipelineStats().Passes;
+  ASSERT_FALSE(Passes.empty());
+  for (const PassTiming &P : Passes)
+    EXPECT_NE(P.Name, "transform");
+  EXPECT_EQ(Passes.back().Name, "points-to");
+  EXPECT_EQ(Front->transformedText(), ir::printIrModule(Front->module()));
+
+  Options.InferLocks = true;
+  std::unique_ptr<Compilation> Full = compile(Source, Options);
+  ASSERT_TRUE(Full->ok()) << Full->diagnostics().str();
+  EXPECT_EQ(Full->pipelineStats().Passes.back().Name, "transform");
+  EXPECT_EQ(Full->report(), readFile(goldenDir() + "mutual3.golden"));
 }
 
 TEST(PipelineStats, UnreachableFunctionIsNotSummarized) {

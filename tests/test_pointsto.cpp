@@ -155,12 +155,83 @@ TEST(PointsTo, RegionIdsAreDenseAndStable) {
             C1->pointsTo().numRegions());
 }
 
-TEST(PointsTo, DescribeRegionNamesMembers) {
+TEST(PointsTo, DescribeRegionListsMembersThenDerefSources) {
+  // Members in cell order (globals, sites, each function's variables),
+  // then every region whose deref lands here, each named once.
   std::unique_ptr<Compilation> C = compileOk(
       "int g;\nvoid f() { int* p = &g; *p = 1; }");
   const PointsToAnalysis &PT = C->pointsTo();
-  RegionId R = PT.regionOfVarCell(C->module().findGlobal("g"));
-  EXPECT_NE(PT.describeRegion(R).find("&g"), std::string::npos);
+  RegionId G = PT.regionOfVarCell(C->module().findGlobal("g"));
+  RegionId P = PT.regionOfVarCell(findVar(*C, "f", "p"));
+  // p and the temp holding &g (regions 1 and 2) both point at g.
+  EXPECT_EQ(P, 1u);
+  EXPECT_EQ(PT.describeRegion(G), "{&g,*region1,*region2}");
+  EXPECT_EQ(PT.describeRegion(P), "{&f::p}");
+  EXPECT_EQ(PT.describeRegion(InvalidRegion), "<invalid>");
+  EXPECT_EQ(PT.describeRegion(PT.numRegions()), "<out-of-range>");
+}
+
+/// Every points-to answer for \p C's module as text: the region of each
+/// variable (globals, then each function's variables in id order), of each
+/// allocation site, and the deref region of each region ("-" for
+/// InvalidRegion).
+std::string pointsToTables(Compilation &C) {
+  const PointsToAnalysis &PT = C.pointsTo();
+  auto Id = [](RegionId R) {
+    return R == InvalidRegion ? std::string("-") : std::to_string(R);
+  };
+  std::string Out = "globals:";
+  for (const auto &G : C.module().globals())
+    Out += " " + Id(PT.regionOfVarCell(G.get()));
+  for (const auto &F : C.module().functions()) {
+    Out += "\n" + F->name() + ":";
+    for (const auto &V : F->variables())
+      Out += " " + Id(PT.regionOfVarCell(V.get()));
+  }
+  Out += "\nsites:";
+  for (const AllocSite &Site : C.module().allocSites())
+    Out += " " + Id(PT.regionOfAllocSite(Site.Id));
+  Out += "\nderef:";
+  for (RegionId R = 0; R < PT.numRegions(); ++R)
+    Out += " " + Id(PT.derefRegion(R));
+  return Out + "\n";
+}
+
+TEST(PointsTo, GoldenAnswersArePinned) {
+  // Region ids are embedded in every golden report and in the daemon's
+  // cache keys, so the numbering must not move.
+  std::unique_ptr<Compilation> Mutual3 =
+      compileOk(readFile(goldenDir() + "mutual3.atom"));
+  EXPECT_EQ(pointsToTables(*Mutual3),
+            "globals: 0\n"
+            "phaseA: 2 3 4 5 6 7 8 9 10 11 12 13 14 15\n"
+            "phaseB: 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32\n"
+            "phaseC: 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48\n"
+            "main: 49 50 51 52 53 54 55 56 57 58 59 60 61\n"
+            "sites: 1 1 1\n"
+            "deref: 1 1 1 1 1 - - 1 1 - - 1 1 - 1 1 1 1 1 - - 1 - 1 1 - 1 1 "
+            "- - - 62 1 1 62 1 - - 1 1 1 1 - - 1 1 - 1 1 1 1 1 1 1 - 1 1 1 1 "
+            "62 1 1 -\n");
+  std::unique_ptr<Compilation> PtrChain =
+      compileOk(readFile(goldenDir() + "ptrchain.atom"));
+  EXPECT_EQ(pointsToTables(*PtrChain),
+            "globals: 0 1\n"
+            "pickSlot: 3 4 5 6 7 8\n"
+            "readThrough: 9 10 11 12 13 14 15 16\n"
+            "writeThrough: 17 18 19 20 21 22 23 24\n"
+            "main: 25 26 27 28 29 30 31 32 33 34 35 36 37\n"
+            "sites: 2 2 2 2\n"
+            "deref: 2 2 2 2 2 - - 2 2 2 2 2 2 - - 2 2 2 2 2 2 2 2 - - 2 2 2 2 "
+            "2 - 2 - 2 2 2 - 2\n");
+}
+
+TEST(PointsTo, VariableOfAnotherModuleHasNoRegion) {
+  std::unique_ptr<Compilation> A = compileOk("int g;\nvoid f() { int x; }");
+  std::unique_ptr<Compilation> B = compileOk("int g;\nvoid f() { int x; }");
+  const PointsToAnalysis &PT = A->pointsTo();
+  EXPECT_NE(PT.regionOfVarCell(A->module().findGlobal("g")), InvalidRegion);
+  EXPECT_EQ(PT.regionOfVarCell(B->module().findGlobal("g")), InvalidRegion);
+  EXPECT_EQ(PT.regionOfVarCell(findVar(*B, "f", "x")), InvalidRegion);
 }
 
 TEST(PointsTo, DerefOfNeverAssignedPointerIsInvalid) {

@@ -26,6 +26,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
 #include "driver/Compiler.h"
 #include "infer/SummaryCache.h"
 #include "obs/Obs.h"
@@ -50,6 +51,8 @@
 
 using namespace lockin;
 using namespace lockin::service;
+using lockin::test::goldenDir;
+using lockin::test::readFile;
 
 namespace {
 
@@ -607,6 +610,84 @@ TEST(Incremental, ResubmitAfterEvictionReanalyzesTheMissingSections) {
   AnalyzeOutcome Again = An.analyze("u", Source, P);
   EXPECT_TRUE(Again.FromSnapshot);
   EXPECT_EQ(Again.Report, Out.Report);
+}
+
+/// The unit lockbench's daemon workload serves: serviceUnit{4, 4, 2, 4}
+/// with every salt 1. Four workers of four sections each loop over two
+/// shared lists through a walker and a mutually recursive helper pair.
+std::string benchServiceUnit() {
+  const unsigned Workers = 4, SectionsPer = 4, Chains = 2;
+  std::string S = "struct node { node* next; int val; int aux; };\n"
+                  "node* head0;\nnode* head1;\nint gsum;\n"
+                  "int walk(node* p, int n) {\n  int s = 0;\n"
+                  "  while (p != null) { s = s + p->val; p->aux = s; "
+                  "p = p->next; }\n  return s + n;\n}\n"
+                  "int recB(node* p, int n) { if (n <= 0) { return 0; } "
+                  "if (p == null) { return n; } p->val = n; "
+                  "return recA(p->next, n - 1); }\n"
+                  "int recA(node* p, int n) { if (n <= 0) { return 0; } "
+                  "if (p == null) { return n; } gsum = gsum + p->val; "
+                  "return recB(p->next, n - 1); }\n";
+  for (unsigned W = 0; W < Workers; ++W) {
+    S += "void worker" + std::to_string(W) + "() {\n";
+    for (unsigned M = 0; M < SectionsPer; ++M) {
+      S += std::string("  atomic {\n    int t = ") + (M == 0 ? "1" : "0") +
+           ";\n    int i = 0;\n    while (i < 4) {\n      int j = 0;\n"
+           "      while (j < 4) {\n        int q = 0;\n"
+           "        while (q < 4) {\n          int r = 0;\n"
+           "          while (r < 4) {\n";
+      for (unsigned C = 0; C < Chains; ++C) {
+        std::string H = "head" + std::to_string((C + W + M) % Chains);
+        S += "            t = t + walk(" + H + ", r);\n";
+        S += "            t = t + recA(" + H + ", 3);\n";
+        S += "            if (" + H + " != null) { " + H + "->val = t; " + H +
+             "->next->aux = t; }\n";
+      }
+      S += "            r = r + 1;\n          }\n          q = q + 1;\n"
+           "        }\n        j = j + 1;\n      }\n"
+           "      i = i + 1;\n    }\n    gsum = gsum + t;\n  }\n";
+    }
+    S += "}\n";
+  }
+  S += "int main() {\n"
+       "  head0 = new node;\n  head0->next = new node;\n"
+       "  head1 = new node;\n  head1->next = new node;\n";
+  for (unsigned W = 0; W < Workers; ++W)
+    S += "  spawn worker" + std::to_string(W) + "();\n";
+  S += "  return 0;\n}\n";
+  return S;
+}
+
+TEST(Incremental, SectionKeysArePinned) {
+  // A key that moves here would silently turn every warm daemon cache
+  // cold, so the derivation may only change together with
+  // KeyFormatVersion.
+  struct Case {
+    std::string Name;
+    std::string Source;
+    std::vector<uint64_t> Keys;
+  };
+  const Case Cases[] = {
+      {"mutual3",
+       readFile(goldenDir() + "mutual3.atom"),
+       {0x3abab2db8818961eull, 0xc8817559b0b0fccbull}},
+      {"ptrchain",
+       readFile(goldenDir() + "ptrchain.atom"),
+       {0x586c4403929d5c93ull}},
+      {"selfrec",
+       readFile(goldenDir() + "selfrec.atom"),
+       {0xddf3f83d8d4634c9ull, 0x0ed9e9d2ecd35a10ull}},
+      {"bench unit",
+       benchServiceUnit(),
+       {0x7bcfccabfd26d1c9ull, 0x328d0b7c9484a528ull, 0x7202276667272487ull,
+        0x014226bc6980fd9eull, 0x158e4d03872f9f54ull, 0xd837412bb19d1a49ull,
+        0xdca88c314ff70732ull, 0x9c06f8248e13122full, 0xa589060053639462ull,
+        0x36baf7374092cd97ull, 0x77af5b8b32bfc090ull, 0xc41b710d84d26a4dull,
+        0xee40800cbde7f116ull, 0x161f2f50afbe9307ull, 0x2d05f4423ab4b7f4ull,
+        0x2b6f3897b3117f3dull}},
+  };
+  for (const Case &C : Cases)
+    EXPECT_EQ(sectionKeys(C.Source, 3), C.Keys) << C.Name;
 }
 
 TEST(Incremental, ResubmitAfterEraseReanalyzesTheErasedSection) {
