@@ -86,14 +86,6 @@ std::string PipelineStats::renderStats() const {
                 static_cast<unsigned long long>(S.Summaries.PeakEntryLocks));
   Out += Line;
   std::snprintf(Line, sizeof(Line),
-                "; transfer-cache: hits=%llu misses=%llu gen-hits=%llu "
-                "gen-misses=%llu\n",
-                static_cast<unsigned long long>(S.TransferCacheHits),
-                static_cast<unsigned long long>(S.TransferCacheMisses),
-                static_cast<unsigned long long>(S.GenCacheHits),
-                static_cast<unsigned long long>(S.GenCacheMisses));
-  Out += Line;
-  std::snprintf(Line, sizeof(Line),
                 "; interner: nodes=%llu hits=%llu deduped=%llu "
                 "arena-bytes=%llu\n",
                 static_cast<unsigned long long>(S.InternerNodes),

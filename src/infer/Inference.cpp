@@ -12,6 +12,7 @@
 #include <cassert>
 #include <condition_variable>
 #include <deque>
+#include <mutex>
 #include <thread>
 
 using namespace lockin;
@@ -63,18 +64,21 @@ LockInference::LockInference(const IrModule &Module,
 
 namespace {
 
-/// Regions of the cells read while evaluating \p Path (deref positions and
-/// index variables). Returns false (via \p Ok) if some region is unknown;
-/// callers then treat the path as potentially affected.
-bool collectPathCellRegions(const LockExpr &Path, const PointsToAnalysis &PT,
-                            std::set<RegionId> &Out) {
+/// True if every cell read while evaluating \p Path (deref positions and
+/// index variables) lies in a known region outside \p Writes. Returns on
+/// the first written or unknown region: callers then treat the path as
+/// potentially affected.
+bool pathCellsUnwritten(const LockExpr &Path, const PointsToAnalysis &PT,
+                        const std::set<RegionId> &Writes) {
+  auto Unwritten = [&](RegionId R) {
+    return R != InvalidRegion && !Writes.count(R);
+  };
   RegionId Cur = PT.regionOfVarCell(Path.base());
   for (const LockOp &Op : Path.ops()) {
     switch (Op.K) {
     case LockOp::Kind::Deref:
-      if (Cur == InvalidRegion)
+      if (!Unwritten(Cur))
         return false;
-      Out.insert(Cur);
       Cur = PT.derefRegion(Cur);
       break;
     case LockOp::Kind::Field:
@@ -87,13 +91,10 @@ bool collectPathCellRegions(const LockExpr &Path, const PointsToAnalysis &PT,
         switch (E->kind()) {
         case IdxExpr::Kind::Const:
           break;
-        case IdxExpr::Kind::VarVal: {
-          RegionId R = PT.regionOfVarCell(E->var());
-          if (R == InvalidRegion)
+        case IdxExpr::Kind::VarVal:
+          if (!Unwritten(PT.regionOfVarCell(E->var())))
             return false;
-          Out.insert(R);
           break;
-        }
         case IdxExpr::Kind::Bin:
           Work.push_back(E->lhs());
           Work.push_back(E->rhs());
@@ -116,31 +117,6 @@ bool pathMentionsVar(const LockExpr &Path, const Variable *V) {
       return true;
   return false;
 }
-
-/// The per-worker transfer memo; analyze() runs deep in call stacks that
-/// also pass through FunctionSummaries, so the cache travels as
-/// thread-local state instead of a parameter.
-thread_local TransferCache *ActiveCache = nullptr;
-
-/// The memo is consulted only while HotDepth > 0 — inside loop-fixpoint
-/// re-iterations and recursive-SCC evaluations, where the same
-/// (statement, lock) transfers repeat. Straight-line code analyzed once
-/// would pay the miss bookkeeping for nothing (measured ~5% hit rate on
-/// the DAG-shaped synthetic programs).
-thread_local unsigned HotDepth = 0;
-
-struct CacheScope {
-  TransferCache *Prev;
-  explicit CacheScope(TransferCache *C) : Prev(ActiveCache) {
-    ActiveCache = C;
-  }
-  ~CacheScope() { ActiveCache = Prev; }
-};
-
-struct HotScope {
-  HotScope() { ++HotDepth; }
-  ~HotScope() { --HotDepth; }
-};
 
 } // namespace
 
@@ -166,15 +142,8 @@ LockSet LockInference::transferCall(const CallStmt *St,
 
   const std::set<RegionId> &Writes = Summaries.writeRegions(F);
   auto Unaffected = [&](const LockName &L) {
-    if (pathMentionsVar(L.path(), St->def()))
-      return false;
-    std::set<RegionId> Cells;
-    if (!collectPathCellRegions(L.path(), Ctx.PT, Cells))
-      return false;
-    for (RegionId R : Cells)
-      if (Writes.count(R))
-        return false;
-    return true;
+    return !pathMentionsVar(L.path(), St->def()) &&
+           pathCellsUnwritten(L.path(), Ctx.PT, Writes);
   };
 
   for (const LockName &L : After) {
@@ -215,31 +184,9 @@ LockSet LockInference::transferCall(const CallStmt *St,
 
 LockSet LockInference::transferInst(const InstStmt *St,
                                     const LockSet &After) {
-  TransferCache *Cache = HotDepth > 0 ? ActiveCache : nullptr;
-  // Whole-set memo first: fixpoint iterations re-apply the same
-  // (statement, after-set) pair until convergence, and transferInst is
-  // pure in it, so a hit replaces the entire per-lock loop below with one
-  // flat copy of the cached result.
-  bool Memoable = Cache && St->stmtId() != IrStmt::InvalidStmtId;
-  if (Memoable) {
-    if (const LockSet *Memo = Cache->findSet(St->stmtId(), After)) {
-      ++Cache->SetHits;
-      return *Memo;
-    }
-    ++Cache->SetMisses;
-  }
   LockSet Out;
-  if (Cache) {
-    Cache->gen(St, Ctx, Out);
-    for (const LockName &L : After)
-      Cache->apply(L, St, Ctx, Out);
-  } else {
-    genLocks(St, Ctx, Out);
-    for (const LockName &L : After)
-      transferLock(L, St, Ctx, Out);
-  }
-  if (Memoable)
-    Cache->storeSet(St->stmtId(), After, Out);
+  genLocks(St, Ctx, Out);
+  transferSet(St, After, Ctx, Out);
   return Out;
 }
 
@@ -285,7 +232,6 @@ LockSet LockInference::analyze(const IrFunction *CurFn, const IrStmt *S,
     genVarRead(W->condVar(), Ctx, Base);
     // Backward fixpoint: X approximates the locks at the loop head.
     LockSet X = analyze(CurFn, W->prelude(), Base, ExitSet);
-    HotScope Hot; // iterations repeat the same transfers: memoize them
     for (unsigned Iter = 0;; ++Iter) {
       if (Iter >= Options.MaxLoopIterations) {
         // Sound fallback; with a bounded k this should be unreachable.
@@ -311,8 +257,7 @@ LockSet LockInference::analyze(const IrFunction *CurFn, const IrStmt *S,
     LockSet Out;
     if (R->value() && CurFn && CurFn->retVar()) {
       CopyStmt RetCopy(CurFn->retVar(), R->value(), R->loc());
-      for (const LockName &L : ExitSet)
-        transferLock(L, &RetCopy, Ctx, Out);
+      transferSet(&RetCopy, ExitSet, Ctx, Out);
     } else {
       Out = ExitSet;
     }
@@ -337,10 +282,7 @@ LockSet LockInference::analyze(const IrFunction *CurFn, const IrStmt *S,
 }
 
 LockSet LockInference::evaluateEntry(const IrFunction *F,
-                                     const LockSet &Exit, bool Hot) {
-  if (!Hot)
-    return analyze(F, F->body(), Exit, Exit);
-  HotScope Scope;
+                                     const LockSet &Exit) {
   return analyze(F, F->body(), Exit, Exit);
 }
 
@@ -354,18 +296,8 @@ void LockInference::analyzeSection(InferenceResult &Result,
   Section.Locks = analyze(F, A->body(), Empty, Empty);
 }
 
-void LockInference::foldCacheStats(const TransferCache &Cache) {
-  std::lock_guard<std::mutex> Guard(StatsMutex);
-  Stats.TransferCacheHits += Cache.Hits;
-  Stats.TransferCacheMisses += Cache.Misses;
-  Stats.GenCacheHits += Cache.GenHits;
-  Stats.GenCacheMisses += Cache.GenMisses;
-}
-
 void LockInference::runSerial(const std::vector<char> &WantScc,
                               InferenceResult &Result) {
-  TransferCache Cache;
-  CacheScope Scope(&Cache);
   // Iterating SCC ids in order IS the bottom-up schedule: every callee
   // SCC is fully summarized (final) before its callers are evaluated, so
   // non-recursive functions are summarized exactly once.
@@ -375,7 +307,6 @@ void LockInference::runSerial(const std::vector<char> &WantScc,
   for (const SectionTask &T : SectionTasks)
     if (T.Stmt)
       analyzeSection(Result, T.Stmt, T.Function);
-  foldCacheStats(Cache);
 }
 
 void LockInference::runParallel(unsigned Jobs,
@@ -403,8 +334,6 @@ void LockInference::runParallel(unsigned Jobs,
   std::atomic<size_t> NextSection{0};
 
   auto Worker = [&]() {
-    TransferCache Cache;
-    CacheScope Scope(&Cache);
     while (true) {
       unsigned Scc;
       {
@@ -435,7 +364,6 @@ void LockInference::runParallel(unsigned Jobs,
       if (T.Stmt)
         analyzeSection(Result, T.Stmt, T.Function);
     }
-    foldCacheStats(Cache);
   };
 
   std::vector<std::thread> Threads;

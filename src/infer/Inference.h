@@ -36,7 +36,6 @@
 #include "pointsto/Steensgaard.h"
 
 #include <memory>
-#include <mutex>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -74,10 +73,6 @@ struct InferenceOptions {
 /// Counters for --stats and the benchmarks; filled by run().
 struct InferenceStats {
   SummaryStats Summaries;
-  uint64_t TransferCacheHits = 0;
-  uint64_t TransferCacheMisses = 0;
-  uint64_t GenCacheHits = 0;
-  uint64_t GenCacheMisses = 0;
   unsigned Functions = 0;
   /// Functions transitively callable from some atomic section (the set
   /// the bottom-up prewarm summarizes).
@@ -210,8 +205,8 @@ public:
 
   /// SummaryBodyEvaluator: locks at \p F's entry given \p Exit at its
   /// exit. Called by the summary store, possibly from worker threads.
-  LockSet evaluateEntry(const ir::IrFunction *F, const LockSet &Exit,
-                        bool Hot) override;
+  LockSet evaluateEntry(const ir::IrFunction *F,
+                        const LockSet &Exit) override;
 
 private:
   LockSet analyze(const ir::IrFunction *CurFn, const ir::IrStmt *S,
@@ -226,7 +221,6 @@ private:
   void runSerial(const std::vector<char> &WantScc, InferenceResult &Result);
   void runParallel(unsigned Jobs, const std::vector<char> &WantScc,
                    InferenceResult &Result);
-  void foldCacheStats(const TransferCache &Cache);
 
   const ir::IrModule &Module;
   /// Declared before Ctx: the context holds a reference into it.
@@ -245,7 +239,6 @@ private:
   std::vector<SectionTask> SectionTasks;
 
   InferenceStats Stats;
-  std::mutex StatsMutex;
 };
 
 } // namespace lockin

@@ -10,17 +10,7 @@
 
 using namespace lockin;
 
-/// Past this size insert() switches from linear scans to the class-hash
-/// index. Small sets (the common case in user programs) stay pointer-free
-/// and allocation-free.
-static constexpr size_t kIndexThreshold = 16;
-
 bool LockSet::insert(const LockName &L) {
-  if (Index || Locks.size() >= kIndexThreshold) {
-    if (!Index)
-      buildIndex();
-    return insertIndexed(L);
-  }
   // Joining effects first keeps the set canonical: Fine(p, ro) + Fine(p, rw)
   // is one lock with rw, not two entries.
   LockName ToAdd = L;
@@ -44,99 +34,6 @@ bool LockSet::insert(const LockName &L) {
               Locks.end());
   Locks.push_back(std::move(ToAdd));
   return true;
-}
-
-void LockSet::buildIndex() const {
-  Index = std::make_unique<IndexT>();
-  for (size_t I = 0; I < Locks.size(); ++I)
-    indexAdd(Locks[I], static_cast<uint32_t>(I));
-}
-
-void LockSet::indexAdd(const LockName &L, uint32_t Pos) const {
-  Index->Classes[L.classHash()].push_back(Pos);
-  if (L.isTop())
-    Index->HasTop = true;
-  else if (L.isCoarse())
-    Index->CoarseByRegion[L.region()] = Pos;
-  else if (L.region() != InvalidRegion)
-    Index->FineByRegion[L.region()].push_back(Pos);
-}
-
-/// Index-backed insert. The canonical-form invariants make each of the
-/// scanning version's three passes answerable by point lookups:
-///  - at most one held lock is in ToAdd's sameLockIgnoringEffect class
-///    (sets are class-unique), found via Classes;
-///  - a non-Top ToAdd can only be covered by Top, by its class entry (ruled
-///    out once the effect join says "changed"), or — for a fine lock — by
-///    the coarse lock of its region, found via CoarseByRegion;
-///  - the locks a non-Top ToAdd subsumes are its class entry plus — for a
-///    coarse lock — the fine locks of its region, found via FineByRegion.
-/// The purge preserves storage order, so results are byte-identical to the
-/// scanning path.
-bool LockSet::insertIndexed(const LockName &L) {
-  LockName ToAdd = L;
-  int32_t ClassPos = -1;
-  {
-    auto It = Index->Classes.find(L.classHash());
-    if (It != Index->Classes.end())
-      for (uint32_t P : It->second)
-        if (Locks[P].sameLockIgnoringEffect(ToAdd)) {
-          ClassPos = static_cast<int32_t>(P);
-          break;
-        }
-  }
-  if (ClassPos >= 0) {
-    Effect Joined = effectJoin(Locks[ClassPos].effect(), ToAdd.effect());
-    if (Joined == Locks[ClassPos].effect())
-      return false; // already subsumed
-    ToAdd = ToAdd.withEffect(Joined);
-  }
-  if (Index->HasTop)
-    return false; // anything ≤ Top, exactly as ToAdd.leq(Held) scans it
-  if (ToAdd.isFine() && ToAdd.region() != InvalidRegion) {
-    auto It = Index->CoarseByRegion.find(ToAdd.region());
-    if (It != Index->CoarseByRegion.end() &&
-        effectLeq(ToAdd.effect(), Locks[It->second].effect()))
-      return false;
-  }
-  // Drop everything the new lock subsumes.
-  if (ToAdd.isTop()) {
-    Locks.clear();
-    Index = std::make_unique<IndexT>();
-  } else {
-    std::vector<uint32_t> Dead;
-    if (ClassPos >= 0)
-      Dead.push_back(static_cast<uint32_t>(ClassPos));
-    if (ToAdd.isCoarse()) {
-      auto It = Index->FineByRegion.find(ToAdd.region());
-      if (It != Index->FineByRegion.end())
-        for (uint32_t P : It->second)
-          if (effectLeq(Locks[P].effect(), ToAdd.effect()))
-            Dead.push_back(P);
-      std::sort(Dead.begin(), Dead.end());
-    }
-    purge(Dead);
-  }
-  Locks.push_back(ToAdd);
-  indexAdd(ToAdd, static_cast<uint32_t>(Locks.size() - 1));
-  return true;
-}
-
-void LockSet::purge(const std::vector<uint32_t> &Dead) {
-  if (Dead.empty())
-    return;
-  size_t D = 0, W = 0;
-  for (size_t R = 0; R < Locks.size(); ++R) {
-    if (D < Dead.size() && Dead[D] == R) {
-      ++D;
-      continue;
-    }
-    if (W != R)
-      Locks[W] = Locks[R];
-    ++W;
-  }
-  Locks.erase(Locks.begin() + W, Locks.end());
-  buildIndex();
 }
 
 bool LockSet::merge(const LockSet &Other) {

@@ -17,9 +17,7 @@
 
 #include "locks/LockName.h"
 
-#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace lockin {
@@ -33,6 +31,12 @@ public:
   ///    effect (ro ⊔ rw = rw).
   /// Returns true if the set changed.
   bool insert(const LockName &L);
+
+  /// Appends \p L without the normalizing scans. Precondition: \p L shares
+  /// no class with, is not ≤ and not ≥ any held lock — exactly the case
+  /// in which insert(L) appends it. The transfer passes locks a statement
+  /// cannot rewrite through this way.
+  void appendUnrelated(const LockName &L) { Locks.push_back(L); }
 
   /// N := N ⊔ Other; returns true if the set changed.
   bool merge(const LockSet &Other);
@@ -63,52 +67,8 @@ public:
   /// transformed-program printer.
   std::string str() const;
 
-  LockSet() = default;
-  /// The index is a per-instance cache over Locks; copies start without
-  /// one (and rebuild lazily if they grow past the threshold), so copying
-  /// a set stays a plain vector copy.
-  LockSet(const LockSet &Other) : Locks(Other.Locks) {}
-  LockSet(LockSet &&) = default;
-  LockSet &operator=(const LockSet &Other) {
-    if (this != &Other) {
-      Locks = Other.Locks;
-      Index.reset();
-    }
-    return *this;
-  }
-  LockSet &operator=(LockSet &&) = default;
-
 private:
-  /// Large sets answer insert()'s three scans (effect join, coverage,
-  /// subsumption purge) by hash lookup instead of O(n) iteration. The
-  /// index maps the lock's identity-ignoring-effect class to its position
-  /// and tracks coarse locks by region; behaviour (including storage
-  /// order, which reports and summary dedup depend on) is byte-identical
-  /// to the scanning path. With interned paths a class hash is a field
-  /// read, so indexed insert is O(1); the pre-interner representation
-  /// pays a structural hash per probe.
-  struct IndexT {
-    /// sameLockIgnoringEffect class hash -> positions in Locks (more
-    /// than one only on hash collision).
-    std::unordered_map<size_t, std::vector<uint32_t>> Classes;
-    /// Region -> position of the coarse lock over it (unique per the
-    /// set's canonical form).
-    std::unordered_map<RegionId, uint32_t> CoarseByRegion;
-    /// Region -> positions of fine locks over it (the victims of a
-    /// coarse insert).
-    std::unordered_map<RegionId, std::vector<uint32_t>> FineByRegion;
-    bool HasTop = false;
-  };
-
-  void buildIndex() const;
-  void indexAdd(const LockName &L, uint32_t Pos) const;
-  bool insertIndexed(const LockName &L);
-  /// Drops every element whose position is flagged in \p Dead (ascending
-  /// order preserved) and reindexes.
-  void purge(const std::vector<uint32_t> &Dead);
-
   std::vector<LockName> Locks;
-  mutable std::unique_ptr<IndexT> Index;
 };
 
 } // namespace lockin

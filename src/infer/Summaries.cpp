@@ -169,12 +169,12 @@ void FunctionSummaries::prewarmScc(unsigned Scc) {
     ownLocks(CG.function(FnIdx));
 }
 
-LockSet FunctionSummaries::evaluate(SccState &S, const Key &K, bool Hot) {
+LockSet FunctionSummaries::evaluate(SccState &S, const Key &K) {
   ++S.Evaluations;
   LockSet Exit;
   if (!K.Own)
     Exit.insert(K.L);
-  return Eval.evaluateEntry(K.F, Exit, Hot);
+  return Eval.evaluateEntry(K.F, Exit);
 }
 
 void FunctionSummaries::publish(Entry &E) {
@@ -220,7 +220,7 @@ const LockSet &FunctionSummaries::query(Key K) {
   bool Recursive = CG.isRecursive(SccIdx);
   ++S.EvalDepth;
   E.InProgress = true;
-  LockSet First = evaluate(S, StoredKey, Recursive);
+  LockSet First = evaluate(S, StoredKey);
   E.InProgress = false;
   E.Locks.merge(First);
   S.PeakEntryLocks = std::max<uint64_t>(S.PeakEntryLocks, E.Locks.size());
@@ -246,7 +246,7 @@ const LockSet &FunctionSummaries::query(Key K) {
         Key Cur = S.Pending[I]; // copy: Pending may reallocate
         Entry &PE = S.Entries.find(Cur)->second;
         PE.InProgress = true;
-        LockSet Next = evaluate(S, Cur, /*Hot=*/true);
+        LockSet Next = evaluate(S, Cur);
         PE.InProgress = false;
         Changed |= PE.Locks.merge(Next);
         S.PeakEntryLocks =

@@ -64,11 +64,8 @@ bool lockPathRootedIn(const LockExpr &Path, const ir::IrFunction *F);
 class SummaryBodyEvaluator {
 public:
   virtual ~SummaryBodyEvaluator() = default;
-  /// \p Hot is true when this evaluation is (or will be) repeated — a
-  /// recursive SCC's local fixpoint — so per-statement memoization pays;
-  /// one-shot evaluations of non-recursive functions pass false.
   virtual LockSet evaluateEntry(const ir::IrFunction *F,
-                                const LockSet &Exit, bool Hot) = 0;
+                                const LockSet &Exit) = 0;
 };
 
 /// Counters the pass manager surfaces via --stats.
@@ -167,7 +164,7 @@ private:
   };
 
   const LockSet &query(Key K);
-  LockSet evaluate(SccState &S, const Key &K, bool Hot);
+  LockSet evaluate(SccState &S, const Key &K);
   /// Marks \p E final, moving its locks into shared storage (reusing an
   /// identical published set if there is one).
   void publish(Entry &E);

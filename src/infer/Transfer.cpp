@@ -8,6 +8,7 @@
 
 #include "locks/Interner.h"
 
+#include <algorithm>
 #include <cassert>
 #include <optional>
 
@@ -196,8 +197,17 @@ HeadRewrite headRewriteFor(const InstStmt *St, LockInterner &IN) {
   }
 }
 
+/// Out.insert(L) that records the lock actually stored (L, or L with the
+/// joined effect) in \p Stored, when given.
+void insertRecorded(const LockName &L, LockSet &Out,
+                    std::vector<LockName> *Stored) {
+  if (Out.insert(L) && Stored)
+    Stored->push_back(Out.locks().back());
+}
+
 void transferStore(const LockName &L, const StoreStmt *St,
-                   const TransferContext &Ctx, LockSet &Out) {
+                   const TransferContext &Ctx, LockSet &Out,
+                   std::vector<LockName> *Stored) {
   const LockExpr &P = L.path();
   RegionId WrittenRegion =
       Ctx.PT.derefRegion(Ctx.PT.regionOfVarCell(St->addr()));
@@ -205,7 +215,7 @@ void transferStore(const LockName &L, const StoreStmt *St,
   // If an index component reads a may-aliased cell, the precise variant
   // set would fork per occurrence; the region lock covers all variants.
   if (pathIdxReadsRegion(P, WrittenRegion, Ctx)) {
-    Out.insert(Ctx.coarsen(L));
+    insertRecorded(Ctx.coarsen(L), Out, Stored);
     return;
   }
 
@@ -216,7 +226,7 @@ void transferStore(const LockName &L, const StoreStmt *St,
                    Ops[0].K == LockOp::Kind::Deref &&
                    Ops[1].K == LockOp::Kind::Deref;
   if (!QExcluded)
-    Out.insert(L);
+    insertRecorded(L, Out, Stored);
 
   // S_{*x=y} closed under suffixes: every deref position whose cell may
   // alias *x̄ may now yield the stored value, so the suffix re-roots at
@@ -230,8 +240,9 @@ void transferStore(const LockName &L, const StoreStmt *St,
       if (Ctx.PT.mayAlias(CellRegion, WrittenRegion)) {
         LockExpr Candidate =
             P.withPrefix(LockExpr(St->value()).plusDeref(), J + 1);
-        Out.insert(Ctx.finalize(std::move(Candidate), L.region(),
-                                L.effect()));
+        insertRecorded(Ctx.finalize(std::move(Candidate), L.region(),
+                                    L.effect()),
+                       Out, Stored);
       }
     }
     // Extend the prefix by this op.
@@ -249,36 +260,41 @@ void transferStore(const LockName &L, const StoreStmt *St,
   }
 }
 
-} // namespace
+/// True if \p St cannot rewrite \p L, so its transfer is L itself: coarse
+/// locks and ⊤; fine locks of non-stores whose path cannot read the
+/// defined variable (no false negatives: the mask covers the base and
+/// every index leaf); bare-variable fine locks of stores, which
+/// transferStore leaves as they are.
+bool transferIsIdentity(const LockName &L, const InstStmt *St) {
+  if (!L.isFine())
+    return true;
+  if (St->kind() != IrStmt::Kind::Store)
+    return !L.pathMayMention(St->def());
+  return L.path().ops().empty();
+}
 
-void lockin::transferLock(const LockName &L, const InstStmt *St,
-                          const TransferContext &Ctx, LockSet &Out) {
+/// transferLock, recording every lock it stores in \p Stored.
+void transferInto(const LockName &L, const InstStmt *St,
+                  const TransferContext &Ctx, LockSet &Out,
+                  std::vector<LockName> *Stored) {
   assert(St->kind() != IrStmt::Kind::Call &&
          "calls are handled interprocedurally");
 
-  // Coarse and top locks are flow-insensitive (§4.3).
-  if (!L.isFine()) {
-    Out.insert(L);
+  // Coarse and top locks are flow-insensitive (§4.3); fine locks the
+  // statement cannot read pass unchanged, and re-finalizing would rebuild
+  // the same lock.
+  if (transferIsIdentity(L, St)) {
+    insertRecorded(L, Out, Stored);
     return;
   }
 
   if (St->kind() == IrStmt::Kind::Store) {
-    transferStore(L, cast<StoreStmt>(St), Ctx, Out);
+    transferStore(L, cast<StoreStmt>(St), Ctx, Out, Stored);
     return;
   }
 
   const Variable *X = St->def();
   assert(X && "non-store primitive statements define a variable");
-
-  // Mask fast path: if the path certainly does not read X, both rewrite
-  // steps below are the identity, and re-finalizing would rebuild the
-  // same lock. (No false negatives: the mask covers the base and every
-  // index leaf.)
-  if (!L.pathMayMention(X)) {
-    Out.insert(L);
-    return;
-  }
-
   const LockExpr &P = L.path();
 
   // Step 1: rewrite the pointer head if the path depends on the value of
@@ -290,7 +306,7 @@ void lockin::transferLock(const LockName &L, const InstStmt *St,
     case HeadRewrite::Kind::Drop:
       return;
     case HeadRewrite::Kind::Coarsen:
-      Out.insert(Ctx.coarsen(L));
+      insertRecorded(Ctx.coarsen(L), Out, Stored);
       return;
     case HeadRewrite::Kind::Replace:
       Rewritten = P.withPrefix(HR.Head, 1);
@@ -304,11 +320,41 @@ void lockin::transferLock(const LockName &L, const InstStmt *St,
   PathSubst Sub = substPathIdx(*Rewritten, X, St, Ctx.Interner);
   if (!Sub.Path) {
     if (!Sub.Dropped)
-      Out.insert(Ctx.coarsen(L));
+      insertRecorded(Ctx.coarsen(L), Out, Stored);
     return;
   }
 
-  Out.insert(Ctx.finalize(std::move(*Sub.Path), L.region(), L.effect()));
+  insertRecorded(
+      Ctx.finalize(std::move(*Sub.Path), L.region(), L.effect()), Out,
+      Stored);
+}
+
+/// True if \p A and \p B are related under insert()'s normalization:
+/// same class, A ≤ B or B ≤ A.
+bool related(const LockName &A, const LockName &B) {
+  return A.sameLockIgnoringEffect(B) || A.leq(B) || B.leq(A);
+}
+
+} // namespace
+
+void lockin::transferLock(const LockName &L, const InstStmt *St,
+                          const TransferContext &Ctx, LockSet &Out) {
+  transferInto(L, St, Ctx, Out, nullptr);
+}
+
+void lockin::transferSet(const InstStmt *St, const LockSet &After,
+                         const TransferContext &Ctx, LockSet &Out) {
+  // Every lock Out holds that is not an unchanged lock of After. Locks
+  // later dropped from Out stay listed; that only costs a scan.
+  std::vector<LockName> Added(Out.begin(), Out.end());
+  for (const LockName &L : After) {
+    if (transferIsIdentity(L, St) &&
+        std::none_of(Added.begin(), Added.end(),
+                     [&](const LockName &A) { return related(L, A); }))
+      Out.appendUnrelated(L);
+    else
+      transferInto(L, St, Ctx, Out, &Added);
+  }
 }
 
 void lockin::genVarRead(const Variable *V, const TransferContext &Ctx,
@@ -393,80 +439,4 @@ void lockin::genLocks(const InstStmt *St, const TransferContext &Ctx,
     assert(false && "genLocks on structured statement");
     return;
   }
-}
-
-//===----------------------------------------------------------------------===//
-// TransferCache
-//===----------------------------------------------------------------------===//
-
-void TransferCache::apply(const LockName &L, const InstStmt *St,
-                          const TransferContext &Ctx, LockSet &Out) {
-  // Identity transfers skip the memo: coarse/⊤ locks are flow-insensitive,
-  // and a fine lock whose path cannot read the defined variable passes
-  // through any non-store statement unchanged. Caching them would only
-  // grow the table (these are the overwhelmingly common cases).
-  if (!L.isFine()) {
-    Out.insert(L);
-    return;
-  }
-  if (St->kind() != IrStmt::Kind::Store && !L.pathMayMention(St->def())) {
-    Out.insert(L);
-    return;
-  }
-  if (St->stmtId() == IrStmt::InvalidStmtId) {
-    transferLock(L, St, Ctx, Out);
-    return;
-  }
-  Key K{St->stmtId(), L};
-  auto It = Xfer.find(K);
-  if (It == Xfer.end()) {
-    ++Misses;
-    LockSet Result;
-    transferLock(L, St, Ctx, Result);
-    It = Xfer.emplace(std::move(K), std::move(Result)).first;
-  } else {
-    ++Hits;
-  }
-  for (const LockName &R : It->second)
-    Out.insert(R);
-}
-
-void TransferCache::gen(const InstStmt *St, const TransferContext &Ctx,
-                        LockSet &Out) {
-  if (St->stmtId() == IrStmt::InvalidStmtId) {
-    genLocks(St, Ctx, Out);
-    return;
-  }
-  auto It = Gen.find(St->stmtId());
-  if (It == Gen.end()) {
-    ++GenMisses;
-    LockSet Result;
-    genLocks(St, Ctx, Result);
-    It = Gen.emplace(St->stmtId(), std::move(Result)).first;
-  } else {
-    ++GenHits;
-  }
-  for (const LockName &R : It->second)
-    Out.insert(R);
-}
-
-/// Key for the whole-set memo: statement id folded into the
-/// order-sensitive set content hash.
-static uint64_t setKey(uint32_t Stmt, const LockSet &After) {
-  return static_cast<uint64_t>(After.contentHash()) * 1099511628211u ^ Stmt;
-}
-
-const LockSet *TransferCache::findSet(uint32_t Stmt,
-                                      const LockSet &After) const {
-  auto It = Sets.find(setKey(Stmt, After));
-  if (It != Sets.end())
-    for (const SetEntry &E : It->second)
-      if (E.After.sameSequence(After))
-        return &E.Result;
-  return nullptr;
-}
-
-void TransferCache::storeSet(uint32_t Stmt, const LockSet &After,
-                             const LockSet &Result) {
-  Sets[setKey(Stmt, After)].push_back(SetEntry{After, Result});
 }

@@ -34,9 +34,6 @@
 #include "locks/LockName.h"
 #include "pointsto/Steensgaard.h"
 
-#include <cstdint>
-#include <unordered_map>
-
 namespace lockin {
 
 /// Shared, immutable context for transfer computations.
@@ -73,6 +70,14 @@ struct TransferContext {
 void transferLock(const LockName &L, const ir::InstStmt *St,
                   const TransferContext &Ctx, LockSet &Out);
 
+/// Inserts transferLock(L, St) into \p Out for every L of \p After, in
+/// order. The result equals those inserts, storage order included, but a
+/// lock the statement cannot rewrite costs no scan unless it is related
+/// (same class, ≤ or ≥) to a lock \p Out held on entry or a rewrite
+/// stored: \p After is an antichain, so only those can interact with it.
+void transferSet(const ir::InstStmt *St, const LockSet &After,
+                 const TransferContext &Ctx, LockSet &Out);
+
 /// Inserts the G locks for the accesses performed directly by \p St.
 void genLocks(const ir::InstStmt *St, const TransferContext &Ctx,
               LockSet &Out);
@@ -81,67 +86,6 @@ void genLocks(const ir::InstStmt *St, const TransferContext &Ctx,
 /// arguments, returned values).
 void genVarRead(const ir::Variable *V, const TransferContext &Ctx,
                 LockSet &Out);
-
-/// Memo for the per-statement transfer results, keyed on (statement id,
-/// incoming lock). Loop fixpoints and SCC summary rounds re-apply the
-/// same S/Q/closure rewrites to the same locks many times; the memo turns
-/// the repeats into hash hits. transferLock/genLocks are pure in
-/// (statement, lock, context), so caching is exact. One instance per
-/// worker thread (not shared), so no synchronization is needed.
-class TransferCache {
-public:
-  /// transferLock with memoization; falls through uncached for statements
-  /// without an id (the map/unmap binding copies built on the side).
-  void apply(const LockName &L, const ir::InstStmt *St,
-             const TransferContext &Ctx, LockSet &Out);
-
-  /// genLocks with memoization, keyed on the statement id alone.
-  void gen(const ir::InstStmt *St, const TransferContext &Ctx, LockSet &Out);
-
-  /// Whole-set memo over the per-statement transfer: the cached result of
-  /// gen(St) + apply(L, St) for every L of \p After, in order. Backward
-  /// fixpoints re-apply identical (statement, set) pairs until
-  /// convergence; a hit replaces the entire per-lock loop with one flat
-  /// set copy. Keys hash the full after-set, which the interned
-  /// representation answers with a field read per lock — the pre-refactor
-  /// representation pays a structural hash per path, which is why this
-  /// memo only became profitable with hash-consed nodes.
-  /// Returns null on miss; entries are verified element-wise
-  /// (sameSequence), so a hit is exact, never hash-trusting.
-  const LockSet *findSet(uint32_t Stmt, const LockSet &After) const;
-  void storeSet(uint32_t Stmt, const LockSet &After, const LockSet &Result);
-
-  uint64_t Hits = 0;
-  uint64_t Misses = 0;
-  uint64_t GenHits = 0;
-  uint64_t GenMisses = 0;
-  uint64_t SetHits = 0;
-  uint64_t SetMisses = 0;
-
-private:
-  struct Key {
-    uint32_t Stmt;
-    LockName L;
-    bool operator==(const Key &O) const {
-      return Stmt == O.Stmt && L == O.L;
-    }
-  };
-  struct KeyHash {
-    size_t operator()(const Key &K) const {
-      return K.L.hash() * 1099511628211u ^ K.Stmt;
-    }
-  };
-  /// One (after-set, result) pair; more than one per key slot only on a
-  /// content-hash collision.
-  struct SetEntry {
-    LockSet After;
-    LockSet Result;
-  };
-
-  std::unordered_map<Key, LockSet, KeyHash> Xfer;
-  std::unordered_map<uint32_t, LockSet> Gen;
-  std::unordered_map<uint64_t, std::vector<SetEntry>> Sets;
-};
 
 } // namespace lockin
 

@@ -127,21 +127,12 @@ public:
   Kind kind() const { return K; }
   SourceLoc loc() const { return Loc; }
 
-  /// Module-unique statement number, assigned by lowering; the inference
-  /// uses it to memoize per-statement transfer results. Statements built
-  /// on the side (the map/unmap parameter-binding copies) keep
-  /// InvalidStmtId and bypass the cache.
-  static constexpr uint32_t InvalidStmtId = ~0u;
-  uint32_t stmtId() const { return Id; }
-  void setStmtId(uint32_t NewId) { Id = NewId; }
-
 protected:
   IrStmt(Kind K, SourceLoc Loc) : K(K), Loc(Loc) {}
 
 private:
   Kind K;
   SourceLoc Loc;
-  uint32_t Id = InvalidStmtId;
 };
 
 /// Destroy-only deleter for statements owned by the module's bump arena:
@@ -510,8 +501,7 @@ public:
 
   /// Allocates a statement in the module's arena. The returned unique_ptr
   /// runs only the destructor; the memory outlives it (until the module
-  /// dies), which is what keeps statement pointers stable for the
-  /// analysis' memo keys. Not thread-safe; lowering is single-threaded.
+  /// dies). Not thread-safe; lowering is single-threaded.
   template <typename T, typename... Args>
   std::unique_ptr<T, ArenaDelete<T>> create(Args &&...As) {
     static_assert(std::is_base_of_v<IrStmt, T>,

@@ -394,40 +394,6 @@ void Lowerer::lowerFunction(const FunctionDecl *F, IrFunction *Ir) {
   CurFunction = nullptr;
 }
 
-namespace {
-
-/// Assigns module-unique statement ids in a deterministic pre-order walk;
-/// the inference keys its transfer memo on them.
-void numberStmts(IrStmt *S, uint32_t &Next) {
-  S->setStmtId(Next++);
-  switch (S->kind()) {
-  case IrStmt::Kind::Seq:
-    for (const IrStmtPtr &Child : cast<SeqStmt>(S)->stmts())
-      numberStmts(Child.get(), Next);
-    return;
-  case IrStmt::Kind::If: {
-    auto *I = cast<IfIrStmt>(S);
-    numberStmts(I->thenStmt(), Next);
-    if (I->elseStmt())
-      numberStmts(I->elseStmt(), Next);
-    return;
-  }
-  case IrStmt::Kind::While: {
-    auto *W = cast<WhileIrStmt>(S);
-    numberStmts(W->prelude(), Next);
-    numberStmts(W->body(), Next);
-    return;
-  }
-  case IrStmt::Kind::Atomic:
-    numberStmts(cast<AtomicIrStmt>(S)->body(), Next);
-    return;
-  default:
-    return;
-  }
-}
-
-} // namespace
-
 std::unique_ptr<IrModule> Lowerer::run() {
   for (size_t I = 0; I < Prog.globals().size(); ++I) {
     const VarDecl *G = Prog.globals()[I].get();
@@ -446,10 +412,6 @@ std::unique_ptr<IrModule> Lowerer::run() {
     Module->addFunction(F->name(), F->returnType());
   for (const auto &F : Prog.functions())
     lowerFunction(F.get(), Module->findFunction(F->name()));
-  uint32_t NextStmtId = 0;
-  for (const auto &F : Module->functions())
-    if (F->body())
-      numberStmts(F->body(), NextStmtId);
   return std::move(Module);
 }
 

@@ -58,14 +58,6 @@ size_t LockName::hash() const {
   return H;
 }
 
-size_t LockName::classHash() const {
-  size_t H = static_cast<size_t>(K) * 0x9e3779b97f4a7c15ULL;
-  H ^= static_cast<size_t>(Region) * 0xbf58476d1ce4e5b9ULL;
-  if (Node)
-    H ^= Node->hash();
-  return H;
-}
-
 std::string LockName::str() const {
   switch (K) {
   case Kind::Top:

@@ -85,10 +85,6 @@ public:
 
   bool operator==(const LockName &Other) const;
   size_t hash() const;
-  /// Hash over the effect-ignoring identity (kind, region, path): equal for
-  /// any two names where sameLockIgnoringEffect holds. O(1): the path
-  /// hash is read from the interned node.
-  size_t classHash() const;
   std::string str() const;
 
 private:

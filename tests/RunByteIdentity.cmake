@@ -3,7 +3,7 @@
 # .atom input, runs lockinfer across worker counts at each k and fails if
 # any output differs from the serial run's by a single byte. Guards the
 # determinism contract the interning/dedup layers promise: hash-consing,
-# summary deduplication, and the transfer memos are observationally
+# summary deduplication, and the pass-through transfer are observationally
 # invisible.
 #
 # Usage: cmake -DTOOL=<lockinfer> -DINPUT=<file.atom> -P RunByteIdentity.cmake

@@ -6,6 +6,11 @@
 
 #include "TestUtil.h"
 
+#include "fuzz/Generator.h"
+
+#include <algorithm>
+#include <filesystem>
+
 using namespace lockin;
 using namespace lockin::test;
 
@@ -357,6 +362,65 @@ TEST(Inference, CalleeStoreForcesRetrace) {
   std::string Locks = sectionLocks(*C, 0);
   // Both the old chain and *w̄ (printed "w") must be protected.
   EXPECT_NE(Locks.find(" w@"), std::string::npos) << Locks;
+}
+
+//===----------------------------------------------------------------------===//
+// Storage order
+//===----------------------------------------------------------------------===//
+
+/// Every section's locks() in storage order, one lock per line under a
+/// section header. LockSet::str() sorts, so it cannot see the order; the
+/// checker's lock-order pass reads locks() as discovery order, which makes
+/// the order part of the output.
+std::string lockOrder(Compilation &C) {
+  std::string Out;
+  for (const InferenceResult::Section &S : C.inference().sections()) {
+    Out += "section " + std::to_string(S.SectionId) + "\n";
+    for (const LockName &L : S.Locks.locks())
+      Out += "  " + L.str() + "\n";
+  }
+  return Out;
+}
+
+uint64_t fnv1a(const std::string &Bytes) {
+  uint64_t H = 14695981039346656037ull;
+  for (unsigned char Ch : Bytes) {
+    H ^= Ch;
+    H *= 1099511628211ull;
+  }
+  return H;
+}
+
+TEST(StorageOrder, GoldenSectionsKeepLockOrder) {
+  std::vector<std::string> Inputs;
+  for (const auto &Entry : std::filesystem::directory_iterator(goldenDir()))
+    if (Entry.path().extension() == ".atom")
+      Inputs.push_back(Entry.path().filename().string());
+  std::sort(Inputs.begin(), Inputs.end());
+  ASSERT_FALSE(Inputs.empty());
+  std::string Actual;
+  for (const std::string &Name : Inputs) {
+    std::unique_ptr<Compilation> C = compileOk(readFile(goldenDir() + Name));
+    ASSERT_TRUE(C->ok()) << Name;
+    Actual += "== " + Name + "\n" + lockOrder(*C);
+  }
+  EXPECT_EQ(Actual, readFile(goldenDir() + "lock_order.txt"));
+}
+
+TEST(StorageOrder, MegaprogramLockOrderDigest) {
+  fuzz::GenOptions Gen;
+  Gen.F = fuzz::Family::Mega;
+  Gen.Seed = 29;
+  Gen.MegaLines = 2000;
+  std::unique_ptr<Compilation> C = compileOk(fuzz::generateProgram(Gen));
+  ASSERT_TRUE(C->ok());
+  size_t Largest = 0;
+  for (const InferenceResult::Section &S : C->inference().sections())
+    Largest = std::max(Largest, S.Locks.size());
+  // Sets this large are where an insert shortcut would most likely
+  // reorder the storage.
+  EXPECT_GE(Largest, 30u);
+  EXPECT_EQ(fnv1a(lockOrder(*C)), 0x99832e8b6603ca90ull);
 }
 
 } // namespace

@@ -193,6 +193,67 @@ TEST_F(LockDomainTest, LockSetEqualityIsOrderInsensitive) {
   EXPECT_TRUE(S1 == S2);
 }
 
+TEST_F(LockDomainTest, LockSetStorageOrderPastFortyLocks) {
+  // Storage order is output (the checker reads locks() as discovery
+  // order), so large sets must keep the exact sequence of the scans.
+  const PointsToAnalysis &PT = C->pointsTo();
+  RegionId R = evalPathRegion(LockExpr(var("a")).plusDeref(), PT);
+  ASSERT_NE(R, InvalidRegion);
+  const unsigned N = 42, Regions = 3;
+  // Lock I < N guards (*a)[I] in region R + I % 3, ro for even I; lock N
+  // (ro, region R + 1) is kept back for step 3.
+  std::vector<LockName> Fine;
+  for (unsigned I = 0; I <= N; ++I)
+    Fine.push_back(LockName::fine(
+        LockExpr(var("a")).plusDeref().plusIndex(IN.idxConst(I)),
+        R + (I == N ? 1 : I % Regions), I % 2 ? Effect::RW : Effect::RO,
+        IN));
+  // "7r" is lock 7 with ro, "C1w" the rw coarse lock of region R + 1,
+  // "T" is ⊤.
+  auto Order = [&](const LockSet &S) {
+    std::string Out;
+    for (const LockName &L : S.locks()) {
+      if (!Out.empty())
+        Out += ' ';
+      if (L.isTop()) {
+        Out += 'T';
+        continue;
+      }
+      if (L.isCoarse())
+        Out += "C" + std::to_string(L.region() - R);
+      for (unsigned I = 0; I <= N && L.isFine(); ++I)
+        if (L.sameLockIgnoringEffect(Fine[I]))
+          Out += std::to_string(I);
+      Out += L.effect() == Effect::RW ? 'w' : 'r';
+    }
+    return Out;
+  };
+
+  LockSet Set;
+  for (unsigned I = 0; I < N; ++I)
+    ASSERT_TRUE(Set.insert(Fine[I]));
+  ASSERT_EQ(Set.size(), N);
+
+  // ro -> rw upgrade of a middle lock: it moves to the end.
+  EXPECT_TRUE(Set.insert(Fine[20].withEffect(Effect::RW)));
+  EXPECT_EQ(Order(Set),
+            "0r 1w 2r 3w 4r 5w 6r 7w 8r 9w 10r 11w 12r 13w 14r 15w 16r 17w "
+            "18r 19w 21w 22r 23w 24r 25w 26r 27w 28r 29w 30r 31w 32r 33w "
+            "34r 35w 36r 37w 38r 39w 40r 41w 20w");
+  // The coarse lock purges the fine locks of its region.
+  const char *AfterCoarse =
+      "0r 2r 3w 5w 6r 8r 9w 11w 12r 14r 15w 17w 18r 21w 23w 24r 26r 27w "
+      "29w 30r 32r 33w 35w 36r 38r 39w 41w 20w C1w";
+  EXPECT_TRUE(Set.insert(LockName::coarse(R + 1, Effect::RW)));
+  EXPECT_EQ(Order(Set), AfterCoarse);
+  // A fine lock it covers changes nothing.
+  EXPECT_FALSE(Set.insert(Fine[N]));
+  EXPECT_EQ(Order(Set), AfterCoarse);
+  // ⊤ swallows everything.
+  EXPECT_TRUE(Set.insert(LockName::top()));
+  EXPECT_EQ(Order(Set), "T");
+}
+
 //===----------------------------------------------------------------------===//
 // Concrete lock semantics (§3.2)
 //===----------------------------------------------------------------------===//

@@ -149,7 +149,7 @@ TEST(PipelineStats, PassesAndCountersArePopulated) {
   EXPECT_GT(Inf.Summaries.Entries, 0u);
   EXPECT_GT(Inf.Summaries.Evaluations, 0u);
   EXPECT_GT(Inf.Summaries.SccFixpointRounds, 0u);
-  EXPECT_GT(Inf.TransferCacheHits + Inf.TransferCacheMisses, 0u);
+  EXPECT_GT(Inf.InternerNodes, 0u);
   EXPECT_EQ(C->inference().sections().size(), 2u);
 }
 
