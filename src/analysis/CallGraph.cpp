@@ -13,48 +13,15 @@ using namespace lockin;
 using namespace lockin::analysis;
 using namespace lockin::ir;
 
-namespace {
-
-/// Collects the direct callee functions of \p S (calls and spawns) in
-/// first-occurrence order.
-void collectCallees(const IrStmt *S, std::vector<const IrFunction *> &Out) {
-  switch (S->kind()) {
-  case IrStmt::Kind::Call:
-    Out.push_back(cast<CallStmt>(S)->callee());
-    return;
-  case IrStmt::Kind::Spawn:
-    Out.push_back(cast<SpawnIrStmt>(S)->callee());
-    return;
-  case IrStmt::Kind::Seq:
-    for (const IrStmtPtr &Child : cast<SeqStmt>(S)->stmts())
-      collectCallees(Child.get(), Out);
-    return;
-  case IrStmt::Kind::If: {
-    const auto *I = cast<IfIrStmt>(S);
-    collectCallees(I->thenStmt(), Out);
-    if (I->elseStmt())
-      collectCallees(I->elseStmt(), Out);
-    return;
-  }
-  case IrStmt::Kind::While: {
-    const auto *W = cast<WhileIrStmt>(S);
-    collectCallees(W->prelude(), Out);
-    collectCallees(W->body(), Out);
-    return;
-  }
-  case IrStmt::Kind::Atomic:
-    collectCallees(cast<AtomicIrStmt>(S)->body(), Out);
-    return;
-  default:
-    return;
-  }
-}
-
-} // namespace
-
 std::vector<const IrFunction *> CallGraph::directCallees(const IrStmt *S) {
   std::vector<const IrFunction *> Out;
-  collectCallees(S, Out);
+  walkStmts(S, [&](const IrStmt *St, WalkContext) {
+    if (const auto *C = dyn_cast<CallStmt>(St))
+      Out.push_back(C->callee());
+    else if (const auto *Sp = dyn_cast<SpawnIrStmt>(St))
+      Out.push_back(Sp->callee());
+    return true;
+  });
   return Out;
 }
 
@@ -68,15 +35,10 @@ CallGraph::CallGraph(const IrModule &M) {
   unsigned N = numFunctions();
   Callees.resize(N);
   Callers.resize(N);
-  std::vector<const IrFunction *> Direct;
   std::vector<char> Seen(N, 0);
   for (unsigned I = 0; I < N; ++I) {
-    if (!Funcs[I]->body())
-      continue;
-    Direct.clear();
-    collectCallees(Funcs[I]->body(), Direct);
     // Deduplicate, keeping first-occurrence order.
-    for (const IrFunction *Callee : Direct) {
+    for (const IrFunction *Callee : directCallees(Funcs[I]->body())) {
       unsigned CI = FuncIndex.at(Callee);
       if (!Seen[CI]) {
         Seen[CI] = 1;

@@ -114,8 +114,9 @@ public:
   std::vector<char> upwardClosure(const std::vector<unsigned> &SeedSccs) const;
 
   /// Direct callees of a statement subtree (call and spawn sites), in
-  /// first-occurrence order, duplicates included. Used to seed
-  /// reachability from atomic-section bodies.
+  /// first-occurrence order, duplicates included. The graph's own edges
+  /// come from it; inference also seeds reachability from atomic-section
+  /// bodies with it. A null subtree has none.
   static std::vector<const ir::IrFunction *>
   directCallees(const ir::IrStmt *S);
 

@@ -73,8 +73,7 @@ MhpAnalysis::MhpAnalysis(const IrModule &M, const CallGraph &CG)
   unsigned N = CG.numFunctions();
   CallOnly.resize(N);
   for (unsigned I = 0; I < N; ++I)
-    if (const IrStmt *Body = CG.function(I)->body())
-      enumerateSites(Body, CG.function(I), /*InLoop=*/false);
+    enumerateSites(I);
 
   unsigned S = numSpawnSites();
   EmptySites.assign(S, 0);
@@ -102,44 +101,22 @@ MhpAnalysis::MhpAnalysis(const IrModule &M, const CallGraph &CG)
   buildMultiplicity();
 }
 
-void MhpAnalysis::enumerateSites(const IrStmt *S, const IrFunction *Owner,
-                                 bool InLoop) {
-  StmtInfo &Info = Stmts[S];
-  Info.Owner = Owner;
-  switch (S->kind()) {
-  case IrStmt::Kind::Spawn: {
-    unsigned Id = static_cast<unsigned>(Sites.size());
-    Sites.push_back({cast<SpawnIrStmt>(S), Owner, Id, InLoop});
-    SiteOf[S] = Id;
-    return;
-  }
-  case IrStmt::Kind::Call:
-    CallOnly[CG.indexOf(Owner)].push_back(
-        CG.indexOf(cast<CallStmt>(S)->callee()));
-    return;
-  case IrStmt::Kind::Seq:
-    for (const IrStmtPtr &Child : cast<SeqStmt>(S)->stmts())
-      enumerateSites(Child.get(), Owner, InLoop);
-    return;
-  case IrStmt::Kind::If: {
-    const auto *I = cast<IfIrStmt>(S);
-    enumerateSites(I->thenStmt(), Owner, InLoop);
-    if (I->elseStmt())
-      enumerateSites(I->elseStmt(), Owner, InLoop);
-    return;
-  }
-  case IrStmt::Kind::While: {
-    const auto *W = cast<WhileIrStmt>(S);
-    enumerateSites(W->prelude(), Owner, /*InLoop=*/true);
-    enumerateSites(W->body(), Owner, /*InLoop=*/true);
-    return;
-  }
-  case IrStmt::Kind::Atomic:
-    enumerateSites(cast<AtomicIrStmt>(S)->body(), Owner, InLoop);
-    return;
-  default:
-    return;
-  }
+void MhpAnalysis::enumerateSites(unsigned OwnerIdx) {
+  const IrFunction *Owner = CG.function(OwnerIdx);
+  walkStmts(Owner->body(), [&](const IrStmt *S, WalkContext Ctx) {
+    Stmts[S].Owner = Owner;
+    if (const auto *Sp = dyn_cast<SpawnIrStmt>(S)) {
+      unsigned Id = static_cast<unsigned>(Sites.size());
+      Sites.push_back({Sp, Owner, Id, Ctx.InLoop});
+      SiteOf[S] = Id;
+      Invokes.push_back({OwnerIdx, CG.indexOf(Sp->callee()), Ctx.InLoop});
+    } else if (const auto *C = dyn_cast<CallStmt>(S)) {
+      unsigned Callee = CG.indexOf(C->callee());
+      CallOnly[OwnerIdx].push_back(Callee);
+      Invokes.push_back({OwnerIdx, Callee, Ctx.InLoop});
+    }
+    return true;
+  });
 }
 
 void MhpAnalysis::buildThreadClosures() {
@@ -309,60 +286,10 @@ void MhpAnalysis::buildMultiplicity() {
   unsigned S = numSpawnSites();
 
   // Static invocation weights: each call or spawn site targeting F adds
-  // one, two when the site sits in a loop. Gathered lexically so the
-  // loop-containment of each site is known.
+  // one, two when the site sits in a loop.
   std::vector<unsigned> Weight(N, 0);
   std::vector<std::vector<unsigned>> Invokers(N); // callee -> owner idxs
-  struct SiteRec {
-    unsigned Owner, Callee;
-    bool InLoop;
-  };
-  std::vector<SiteRec> InvokeSites;
-  for (unsigned F = 0; F < N; ++F) {
-    const IrStmt *Body = CG.function(F)->body();
-    if (!Body)
-      continue;
-    // Reuse the statement table: every call/spawn under F was recorded in
-    // enumerateSites with its owner; re-walk for loop containment.
-    std::vector<std::pair<const IrStmt *, bool>> Work = {{Body, false}};
-    while (!Work.empty()) {
-      auto [St, InLoop] = Work.back();
-      Work.pop_back();
-      switch (St->kind()) {
-      case IrStmt::Kind::Call:
-        InvokeSites.push_back(
-            {F, CG.indexOf(cast<CallStmt>(St)->callee()), InLoop});
-        break;
-      case IrStmt::Kind::Spawn:
-        InvokeSites.push_back(
-            {F, CG.indexOf(cast<SpawnIrStmt>(St)->callee()), InLoop});
-        break;
-      case IrStmt::Kind::Seq:
-        for (const IrStmtPtr &Child : cast<SeqStmt>(St)->stmts())
-          Work.push_back({Child.get(), InLoop});
-        break;
-      case IrStmt::Kind::If: {
-        const auto *I = cast<IfIrStmt>(St);
-        Work.push_back({I->thenStmt(), InLoop});
-        if (I->elseStmt())
-          Work.push_back({I->elseStmt(), InLoop});
-        break;
-      }
-      case IrStmt::Kind::While: {
-        const auto *W = cast<WhileIrStmt>(St);
-        Work.push_back({W->prelude(), true});
-        Work.push_back({W->body(), true});
-        break;
-      }
-      case IrStmt::Kind::Atomic:
-        Work.push_back({cast<AtomicIrStmt>(St)->body(), InLoop});
-        break;
-      default:
-        break;
-      }
-    }
-  }
-  for (const SiteRec &R : InvokeSites) {
+  for (const InvokeSite &R : Invokes) {
     Weight[R.Callee] += R.InLoop ? 2 : 1;
     Invokers[R.Callee].push_back(R.Owner);
   }

@@ -105,8 +105,15 @@ private:
     std::vector<char> Before;
   };
 
-  void enumerateSites(const ir::IrStmt *S, const ir::IrFunction *Owner,
-                      bool InLoop);
+  /// One call or spawn statement, with where it sits in its owner.
+  struct InvokeSite {
+    unsigned Owner, Callee;
+    bool InLoop;
+  };
+
+  /// Records the statements, spawn sites and call/spawn edges of one
+  /// function in one walk of its body.
+  void enumerateSites(unsigned OwnerIdx);
   void buildThreadClosures();
   void buildSpawnsIn();
   void buildBeforeSets();
@@ -125,6 +132,8 @@ private:
 
   /// Call-only (no spawn edges) direct callees, per function index.
   std::vector<std::vector<unsigned>> CallOnly;
+  /// Every call and spawn statement, in walk order.
+  std::vector<InvokeSite> Invokes;
   /// Full reachability from main (calls + spawns), per function index.
   std::vector<bool> Live;
   /// Main thread's call-only closure, per function index.

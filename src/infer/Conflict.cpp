@@ -31,111 +31,62 @@ namespace {
 /// a thread can traverse while holding no section locks), and spawn
 /// callees anywhere (a spawned thread starts outside every section even
 /// when the spawn site itself sits in one).
-void collectBareEdges(const IrStmt *S, bool InAtomic,
+void collectBareEdges(const IrStmt *S,
                       std::vector<const IrFunction *> &BareCallees,
                       std::vector<const IrFunction *> &SpawnCallees) {
-  switch (S->kind()) {
-  case IrStmt::Kind::Call:
-    if (!InAtomic)
-      BareCallees.push_back(cast<CallStmt>(S)->callee());
-    return;
-  case IrStmt::Kind::Spawn:
-    SpawnCallees.push_back(cast<SpawnIrStmt>(S)->callee());
-    return;
-  case IrStmt::Kind::Seq:
-    for (const IrStmtPtr &Child : cast<SeqStmt>(S)->stmts())
-      collectBareEdges(Child.get(), InAtomic, BareCallees, SpawnCallees);
-    return;
-  case IrStmt::Kind::If: {
-    const auto *I = cast<IfIrStmt>(S);
-    collectBareEdges(I->thenStmt(), InAtomic, BareCallees, SpawnCallees);
-    if (I->elseStmt())
-      collectBareEdges(I->elseStmt(), InAtomic, BareCallees, SpawnCallees);
-    return;
-  }
-  case IrStmt::Kind::While: {
-    const auto *W = cast<WhileIrStmt>(S);
-    collectBareEdges(W->prelude(), InAtomic, BareCallees, SpawnCallees);
-    collectBareEdges(W->body(), InAtomic, BareCallees, SpawnCallees);
-    return;
-  }
-  case IrStmt::Kind::Atomic:
-    collectBareEdges(cast<AtomicIrStmt>(S)->body(), /*InAtomic=*/true,
-                     BareCallees, SpawnCallees);
-    return;
-  default:
-    return;
-  }
+  walkStmts(S, [&](const IrStmt *St, WalkContext Ctx) {
+    if (const auto *C = dyn_cast<CallStmt>(St)) {
+      if (!Ctx.InAtomic)
+        BareCallees.push_back(C->callee());
+    } else if (const auto *Sp = dyn_cast<SpawnIrStmt>(St)) {
+      SpawnCallees.push_back(Sp->callee());
+    }
+    return true;
+  });
 }
 
+/// The accesses of \p S's statements outside atomic bodies, one entry per
+/// statement that touches a lockable location.
 void collectBareStmts(const IrStmt *S, const IrFunction *F,
                       const TransferContext &Ctx,
                       std::vector<BareAccess> &Out) {
-  switch (S->kind()) {
-  case IrStmt::Kind::Seq:
-    for (const IrStmtPtr &Child : cast<SeqStmt>(S)->stmts())
-      collectBareStmts(Child.get(), F, Ctx, Out);
-    return;
-  case IrStmt::Kind::If: {
-    const auto *I = cast<IfIrStmt>(S);
-    LockSet Cond;
-    genVarRead(I->condVar(), Ctx, Cond);
-    if (!Cond.empty())
-      Out.push_back({S, F, std::move(Cond)});
-    collectBareStmts(I->thenStmt(), F, Ctx, Out);
-    if (I->elseStmt())
-      collectBareStmts(I->elseStmt(), F, Ctx, Out);
-    return;
-  }
-  case IrStmt::Kind::While: {
-    const auto *W = cast<WhileIrStmt>(S);
-    LockSet Cond;
-    genVarRead(W->condVar(), Ctx, Cond);
-    if (!Cond.empty())
-      Out.push_back({S, F, std::move(Cond)});
-    collectBareStmts(W->prelude(), F, Ctx, Out);
-    collectBareStmts(W->body(), F, Ctx, Out);
-    return;
-  }
-  case IrStmt::Kind::Atomic:
-    return; // the section's own accesses are modeled by its lock set
-  case IrStmt::Kind::Return: {
-    const auto *R = cast<ReturnIrStmt>(S);
-    if (R->value()) {
-      LockSet Val;
-      genVarRead(R->value(), Ctx, Val);
-      if (!Val.empty())
-        Out.push_back({S, F, std::move(Val)});
-    }
-    return;
-  }
-  case IrStmt::Kind::Assert: {
-    LockSet Cond;
-    genVarRead(cast<AssertIrStmt>(S)->condVar(), Ctx, Cond);
-    if (!Cond.empty())
-      Out.push_back({S, F, std::move(Cond)});
-    return;
-  }
-  case IrStmt::Kind::Spawn: {
-    LockSet Args;
-    for (const ir::Variable *A : cast<SpawnIrStmt>(S)->args())
-      genVarRead(A, Ctx, Args);
-    if (!Args.empty())
-      Out.push_back({S, F, std::move(Args)});
-    return;
-  }
-  default:
-    break;
-  }
-  if (const auto *Inst = dyn_cast<InstStmt>(S)) {
+  walkStmts(S, [&](const IrStmt *St, WalkContext) {
     LockSet Accesses;
-    genLocks(Inst, Ctx, Accesses);
-    if (Inst->kind() == IrStmt::Kind::Call)
-      for (const ir::Variable *A : cast<CallStmt>(Inst)->args())
+    switch (St->kind()) {
+    case IrStmt::Kind::Seq:
+      return true;
+    case IrStmt::Kind::If:
+      genVarRead(cast<IfIrStmt>(St)->condVar(), Ctx, Accesses);
+      break;
+    case IrStmt::Kind::While:
+      genVarRead(cast<WhileIrStmt>(St)->condVar(), Ctx, Accesses);
+      break;
+    case IrStmt::Kind::Atomic:
+      return false; // the section's own accesses are modeled by its lock set
+    case IrStmt::Kind::Return:
+      if (const ir::Variable *V = cast<ReturnIrStmt>(St)->value())
+        genVarRead(V, Ctx, Accesses);
+      break;
+    case IrStmt::Kind::Assert:
+      genVarRead(cast<AssertIrStmt>(St)->condVar(), Ctx, Accesses);
+      break;
+    case IrStmt::Kind::Spawn:
+      for (const ir::Variable *A : cast<SpawnIrStmt>(St)->args())
         genVarRead(A, Ctx, Accesses);
+      break;
+    default: {
+      const auto *Inst = cast<InstStmt>(St);
+      genLocks(Inst, Ctx, Accesses);
+      if (const auto *Call = dyn_cast<CallStmt>(Inst))
+        for (const ir::Variable *A : Call->args())
+          genVarRead(A, Ctx, Accesses);
+      break;
+    }
+    }
     if (!Accesses.empty())
-      Out.push_back({S, F, std::move(Accesses)});
-  }
+      Out.push_back({St, F, std::move(Accesses)});
+    return true;
+  });
 }
 
 } // namespace
@@ -151,11 +102,8 @@ lockin::collectBareAccesses(const IrModule &M, const analysis::CallGraph &CG,
   std::vector<bool> Live =
       Roots.empty() ? std::vector<bool>(N, false) : CG.reachableClosure(Roots);
   for (unsigned I = 0; I < N; ++I) {
-    if (!CG.function(I)->body())
-      continue;
     std::vector<const IrFunction *> Spawned;
-    collectBareEdges(CG.function(I)->body(), /*InAtomic=*/false,
-                     BareCallees[I], Spawned);
+    collectBareEdges(CG.function(I)->body(), BareCallees[I], Spawned);
     // Spawn callees of any live function root new bare contexts: Live is
     // the full call+spawn closure from main, so this covers spawners only
     // reachable through sections or through other spawned threads.
@@ -186,7 +134,7 @@ lockin::collectBareAccesses(const IrModule &M, const analysis::CallGraph &CG,
 
   std::vector<BareAccess> Out;
   for (unsigned I = 0; I < N; ++I)
-    if (Bare[I] && CG.function(I)->body())
+    if (Bare[I])
       collectBareStmts(CG.function(I)->body(), CG.function(I), Ctx, Out);
   return Out;
 }

@@ -47,46 +47,22 @@ namespace {
 /// \p Writes.
 void collectDirectWrites(const IrStmt *S, const PointsToAnalysis &PT,
                          std::set<RegionId> &Writes) {
-  switch (S->kind()) {
-  case IrStmt::Kind::Store: {
-    const auto *St = cast<StoreStmt>(S);
-    RegionId R = PT.derefRegion(PT.regionOfVarCell(St->addr()));
-    if (R != InvalidRegion)
-      Writes.insert(R);
-    return;
-  }
-  case IrStmt::Kind::Seq:
-    for (const IrStmtPtr &Child : cast<SeqStmt>(S)->stmts())
-      collectDirectWrites(Child.get(), PT, Writes);
-    return;
-  case IrStmt::Kind::If: {
-    const auto *I = cast<IfIrStmt>(S);
-    collectDirectWrites(I->thenStmt(), PT, Writes);
-    if (I->elseStmt())
-      collectDirectWrites(I->elseStmt(), PT, Writes);
-    return;
-  }
-  case IrStmt::Kind::While: {
-    const auto *W = cast<WhileIrStmt>(S);
-    collectDirectWrites(W->prelude(), PT, Writes);
-    collectDirectWrites(W->body(), PT, Writes);
-    return;
-  }
-  case IrStmt::Kind::Atomic:
-    collectDirectWrites(cast<AtomicIrStmt>(S)->body(), PT, Writes);
-    return;
-  default:
-    break;
-  }
-  // Definitions of shared variables write their cells.
-  if (const auto *Inst = dyn_cast<InstStmt>(S)) {
-    const Variable *Def = Inst->def();
-    if (Def && (Def->isGlobal() || Def->isAddressTaken())) {
-      RegionId R = PT.regionOfVarCell(Def);
+  walkStmts(S, [&](const IrStmt *St, WalkContext) {
+    if (const auto *Store = dyn_cast<StoreStmt>(St)) {
+      RegionId R = PT.derefRegion(PT.regionOfVarCell(Store->addr()));
       if (R != InvalidRegion)
         Writes.insert(R);
+    } else if (const auto *Inst = dyn_cast<InstStmt>(St)) {
+      // Definitions of shared variables write their cells.
+      const Variable *Def = Inst->def();
+      if (Def && (Def->isGlobal() || Def->isAddressTaken())) {
+        RegionId R = PT.regionOfVarCell(Def);
+        if (R != InvalidRegion)
+          Writes.insert(R);
+      }
     }
-  }
+    return true;
+  });
 }
 
 } // namespace
@@ -110,11 +86,8 @@ FunctionSummaries::FunctionSummaries(const IrModule &M,
   // direct writes and the (already computed) callee-SCC sets.
   for (unsigned Scc = 0; Scc < CG.numSccs(); ++Scc) {
     std::set<RegionId> SccWrites;
-    for (unsigned FnIdx : CG.sccMembers(Scc)) {
-      const IrFunction *F = CG.function(FnIdx);
-      if (F->body())
-        collectDirectWrites(F->body(), Ctx.PT, SccWrites);
-    }
+    for (unsigned FnIdx : CG.sccMembers(Scc))
+      collectDirectWrites(CG.function(FnIdx)->body(), Ctx.PT, SccWrites);
     for (unsigned CScc : CG.sccCallees(Scc)) {
       const std::set<RegionId> &Theirs =
           WriteRegions[CG.function(CG.sccMembers(CScc).front())];

@@ -436,6 +436,92 @@ private:
 };
 
 //===----------------------------------------------------------------------===//
+// Statement walker
+//===----------------------------------------------------------------------===//
+
+/// The lexical position of a visited statement within the walked root.
+struct WalkContext {
+  bool InLoop = false;   ///< inside some While's prelude or body
+  bool InAtomic = false; ///< inside some Atomic's body
+};
+
+/// Visits \p Root and every statement nested in it in pre-order, in source
+/// order: Seq children, then/else, prelude/body, the atomic body. \p Visit
+/// is called as `bool Visit(const IrStmt *, WalkContext)` and returns false
+/// to skip the statement's children. A null root visits nothing. The walk
+/// keeps an explicit stack, so nesting depth costs no C++ stack.
+///
+/// Passes that only collect facts use this. The passes that give each
+/// statement kind its own meaning (the backward lock analysis, the MHP
+/// before-sets, the printer and the interpreter) recurse themselves.
+template <class Fn> void walkStmts(const IrStmt *Root, Fn &&Visit) {
+  // What is left to visit after the current subtree: one statement, or
+  // the rest of a Seq's children [Next, End).
+  struct Pending {
+    const IrStmt *One;
+    const IrStmtPtr *Next, *End;
+    WalkContext Ctx;
+  };
+  std::vector<Pending> Stack;
+  const IrStmt *S = Root;
+  WalkContext Ctx;
+  while (S) {
+    // A statement's first child is visited next without a trip through
+    // the stack; only its later siblings wait there.
+    const IrStmt *First = nullptr;
+    if (Visit(S, Ctx)) {
+      switch (S->kind()) {
+      case IrStmt::Kind::Seq: {
+        const auto &Children = cast<SeqStmt>(S)->stmts();
+        if (Children.size() > 1)
+          Stack.push_back({nullptr, Children.data() + 1,
+                           Children.data() + Children.size(), Ctx});
+        if (!Children.empty())
+          First = Children.front().get();
+        break;
+      }
+      case IrStmt::Kind::If: {
+        const auto *I = cast<IfIrStmt>(S);
+        if (I->elseStmt())
+          Stack.push_back({I->elseStmt(), nullptr, nullptr, Ctx});
+        First = I->thenStmt();
+        break;
+      }
+      case IrStmt::Kind::While: {
+        const auto *W = cast<WhileIrStmt>(S);
+        Ctx.InLoop = true;
+        Stack.push_back({W->body(), nullptr, nullptr, Ctx});
+        First = W->prelude();
+        break;
+      }
+      case IrStmt::Kind::Atomic:
+        Ctx.InAtomic = true;
+        First = cast<AtomicIrStmt>(S)->body();
+        break;
+      default:
+        break;
+      }
+    }
+    if (First) {
+      S = First;
+      continue;
+    }
+    if (Stack.empty())
+      return;
+    Pending &Top = Stack.back();
+    Ctx = Top.Ctx;
+    if (Top.One) {
+      S = Top.One;
+      Stack.pop_back();
+    } else {
+      S = (Top.Next++)->get();
+      if (Top.Next == Top.End)
+        Stack.pop_back();
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Functions and modules
 //===----------------------------------------------------------------------===//
 

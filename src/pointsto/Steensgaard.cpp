@@ -70,7 +70,8 @@ PointsToAnalysis::cellOfVar(const ir::Variable *V) const {
   return C < FunctionBase[F->index() + 1] ? C : NoCell;
 }
 
-void PointsToAnalysis::processStmt(const IrStmt *S) {
+void PointsToAnalysis::processStmt(const IrStmt *S,
+                                   const IrFunction *Owner) {
   switch (S->kind()) {
   case IrStmt::Kind::Copy: {
     const auto *C = cast<CopyStmt>(S);
@@ -131,9 +132,9 @@ void PointsToAnalysis::processStmt(const IrStmt *S) {
   }
   case IrStmt::Kind::Return: {
     const auto *R = cast<ReturnIrStmt>(S);
-    // Handled per-function in the constructor (needs the enclosing
-    // function's ret var); nothing to do here.
-    (void)R;
+    if (Owner->retVar() && R->value())
+      unify(pointeeCell(cellOfVar(Owner->retVar())),
+            pointeeCell(cellOfVar(R->value())));
     return;
   }
   case IrStmt::Kind::ConstInt:
@@ -141,58 +142,10 @@ void PointsToAnalysis::processStmt(const IrStmt *S) {
   case IrStmt::Kind::IntBin:
   case IrStmt::Kind::Cmp:
   case IrStmt::Kind::Assert:
-    return;
   case IrStmt::Kind::Seq:
-    for (const IrStmtPtr &Child : cast<SeqStmt>(S)->stmts())
-      processStmt(Child.get());
-    return;
-  case IrStmt::Kind::If: {
-    const auto *I = cast<IfIrStmt>(S);
-    processStmt(I->thenStmt());
-    if (I->elseStmt())
-      processStmt(I->elseStmt());
-    return;
-  }
-  case IrStmt::Kind::While: {
-    const auto *W = cast<WhileIrStmt>(S);
-    processStmt(W->prelude());
-    processStmt(W->body());
-    return;
-  }
+  case IrStmt::Kind::If:
+  case IrStmt::Kind::While:
   case IrStmt::Kind::Atomic:
-    processStmt(cast<AtomicIrStmt>(S)->body());
-    return;
-  }
-}
-
-/// Unifies ret_f with every returned value in \p S.
-static void collectReturns(const IrStmt *S,
-                           std::vector<const ReturnIrStmt *> &Out) {
-  switch (S->kind()) {
-  case IrStmt::Kind::Return:
-    Out.push_back(cast<ReturnIrStmt>(S));
-    return;
-  case IrStmt::Kind::Seq:
-    for (const IrStmtPtr &Child : cast<SeqStmt>(S)->stmts())
-      collectReturns(Child.get(), Out);
-    return;
-  case IrStmt::Kind::If: {
-    const auto *I = cast<IfIrStmt>(S);
-    collectReturns(I->thenStmt(), Out);
-    if (I->elseStmt())
-      collectReturns(I->elseStmt(), Out);
-    return;
-  }
-  case IrStmt::Kind::While: {
-    const auto *W = cast<WhileIrStmt>(S);
-    collectReturns(W->prelude(), Out);
-    collectReturns(W->body(), Out);
-    return;
-  }
-  case IrStmt::Kind::Atomic:
-    collectReturns(cast<AtomicIrStmt>(S)->body(), Out);
-    return;
-  default:
     return;
   }
 }
@@ -213,18 +166,11 @@ PointsToAnalysis::PointsToAnalysis(const IrModule &M) : Module(M) {
   Pointee.assign(NumCells, NoCell);
 
   // One pass over every statement; unification is order-insensitive.
-  for (const auto &F : M.functions()) {
-    if (F->body())
-      processStmt(F->body());
-    if (F->retVar()) {
-      std::vector<const ReturnIrStmt *> Returns;
-      collectReturns(F->body(), Returns);
-      for (const ReturnIrStmt *R : Returns)
-        if (R->value())
-          unify(pointeeCell(cellOfVar(F->retVar())),
-                pointeeCell(cellOfVar(R->value())));
-    }
-  }
+  for (const auto &F : M.functions())
+    walkStmts(F->body(), [&](const IrStmt *S, WalkContext) {
+      processStmt(S, F.get());
+      return true;
+    });
 
   // Number the regions: walk location cells in creation order; each root
   // gets an id the first time it is seen.

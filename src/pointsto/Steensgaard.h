@@ -76,7 +76,9 @@ private:
   /// The cell of &V, or ~0u when \p V is not a variable of this module.
   Cell cellOfVar(const ir::Variable *V) const;
 
-  void processStmt(const ir::IrStmt *S);
+  /// Adds the unification constraints of statement \p S of \p Owner
+  /// (structured statements add none of their own).
+  void processStmt(const ir::IrStmt *S, const ir::IrFunction *Owner);
 
   // Union-find state, used while solving. Parent/pointee are indexed by
   // cell. Location cells come first, in a fixed order: globals (cell =

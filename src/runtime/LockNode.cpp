@@ -12,22 +12,16 @@
 
 #include "runtime/LockNode.h"
 
+#include "obs/Obs.h"
+
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <thread>
 
 using namespace lockin;
 using namespace lockin::rt;
 
 namespace {
-
-uint64_t clockNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// Bitmap (bit 0 = IS, bit 1 = IX) of the intention modes \p M conflicts
 /// with: the slots a strong grant of \p M must see drain to zero.
@@ -221,7 +215,7 @@ bool LockNode::grantAtHead(Mode M) {
 }
 
 void LockNode::slowAcquire(Mode M, uint64_t *WaitNs) {
-  const uint64_t T0 = WaitNs ? clockNs() : 0;
+  const uint64_t T0 = WaitNs ? obs::nowNs() : 0;
   std::unique_lock<std::mutex> Lock(Mu);
   uint32_t Ticket = NextTicket++;
   Waiters.push_back({Ticket, M});
@@ -240,7 +234,7 @@ void LockNode::slowAcquire(Mode M, uint64_t *WaitNs) {
   // The next waiter may also be compatible (e.g. another reader).
   CV.notify_all();
   if (WaitNs)
-    *WaitNs += clockNs() - T0;
+    *WaitNs += obs::nowNs() - T0;
 }
 
 // A strong grant of M is published in the word, so new intention
@@ -250,7 +244,7 @@ bool LockNode::drain(Mode M, uint64_t *WaitNs) {
   const uint8_t Modes = intentionConflicts(M);
   for (unsigned Budget = SpinLimit; intentionSum(Modes) != 0; --Budget) {
     if (Budget == 0) {
-      const uint64_t T0 = WaitNs ? clockNs() : 0;
+      const uint64_t T0 = WaitNs ? obs::nowNs() : 0;
       {
         std::unique_lock<std::mutex> Lock(Mu);
         // Set the bit, then re-read the slots (in the wait predicate):
@@ -262,7 +256,7 @@ bool LockNode::drain(Mode M, uint64_t *WaitNs) {
           Word.fetch_and(~DrainBit, std::memory_order_seq_cst);
       }
       if (WaitNs)
-        *WaitNs += clockNs() - T0;
+        *WaitNs += obs::nowNs() - T0;
       return true;
     }
     backOff(Budget);

@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <csignal>
 #include <cstring>
 #include <netinet/in.h>
@@ -49,13 +48,6 @@ void closeFd(int &Fd) {
     ::close(Fd);
     Fd = -1;
   }
-}
-
-uint64_t nowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 void countOp(const std::string &Op) {
@@ -162,9 +154,8 @@ bool Server::start(std::string &Err) {
   for (const char *Name :
        {"service.shed", "service.overloaded", "service.aborted",
         "service.requests_aborted", "service.read_timeouts",
-        "service.accept_throttled", "service.loop.wakeups",
-        "service.loop.events", "service.loop.frames", "service.loop.batches",
-        "service.connections", "service.timeouts",
+        "service.loop.wakeups", "service.loop.events", "service.loop.frames",
+        "service.loop.batches", "service.connections", "service.timeouts",
         "service.resubmits_served"})
     obs::metrics().counter(Name);
 
@@ -254,46 +245,20 @@ void Server::run() {
 }
 
 void Server::acceptLoop() {
-  // Token-bucket accept throttle: refilled at AcceptRate tokens/second
-  // up to AcceptBurst; an empty bucket parks the listeners (the backlog
-  // queues the peers) instead of accept-and-close churn.
-  double Tokens = std::max(1u, Opts.AcceptBurst);
-  auto LastRefill = std::chrono::steady_clock::now();
-
   while (!Draining.load(std::memory_order_acquire)) {
-    bool Throttled = false;
-    int Timeout = -1;
-    if (Opts.AcceptRate > 0.0) {
-      auto Now = std::chrono::steady_clock::now();
-      double Elapsed =
-          std::chrono::duration<double>(Now - LastRefill).count();
-      LastRefill = Now;
-      Tokens = std::min(Tokens + Elapsed * Opts.AcceptRate,
-                        double(std::max(1u, Opts.AcceptBurst)));
-      if (Tokens < 1.0) {
-        Throttled = true;
-        Timeout = std::max(
-            1, static_cast<int>(
-                   std::ceil((1.0 - Tokens) / Opts.AcceptRate * 1000.0)));
-        obs::metrics().counter("service.accept_throttled").inc();
-      }
-    }
-
     pollfd Fds[3];
     nfds_t N = 0;
     Fds[N++] = pollfd{WakeFd, POLLIN, 0};
     int UnixSlot = -1, TcpSlot = -1;
-    if (!Throttled) {
-      if (UnixFd >= 0) {
-        UnixSlot = static_cast<int>(N);
-        Fds[N++] = pollfd{UnixFd, POLLIN, 0};
-      }
-      if (TcpFd >= 0) {
-        TcpSlot = static_cast<int>(N);
-        Fds[N++] = pollfd{TcpFd, POLLIN, 0};
-      }
+    if (UnixFd >= 0) {
+      UnixSlot = static_cast<int>(N);
+      Fds[N++] = pollfd{UnixFd, POLLIN, 0};
     }
-    int Rc = ::poll(Fds, N, Timeout);
+    if (TcpFd >= 0) {
+      TcpSlot = static_cast<int>(N);
+      Fds[N++] = pollfd{TcpFd, POLLIN, 0};
+    }
+    int Rc = ::poll(Fds, N, -1);
     if (Rc < 0) {
       if (errno == EINTR)
         continue;
@@ -312,8 +277,6 @@ void Server::acceptLoop() {
       int Client = ::accept(Fds[Slot].fd, nullptr, nullptr);
       if (Client < 0)
         continue;
-      if (Opts.AcceptRate > 0.0)
-        Tokens -= 1.0;
       obs::metrics().counter("service.connections").inc();
       std::string Peer = (Slot == UnixSlot ? "unix:" : "tcp:") +
                          std::to_string(Client);
@@ -558,9 +521,9 @@ void Server::workerLoop() {
         }
       }
     } else {
-      uint64_t T0 = nowNs();
+      uint64_t T0 = obs::nowNs();
       Response = handleAnalyze(J.Request, J.Deadline, J.Ctx.get());
-      uint64_t Dur = nowNs() - T0;
+      uint64_t Dur = obs::nowNs() - T0;
       obs::metrics().histogram("service.analyze_ns").record(Dur);
       obs::tracer().span(obs::EventKind::PassSpan, T0, Dur,
                          obs::tracer().internName("service.analyze"));

@@ -10,13 +10,13 @@
 /// service/Protocol.h, and serves `analyze` requests from a shared
 /// IncrementalAnalyzer backed by the sharded content-hashed SummaryCache.
 ///
-/// Threading model: one accept thread (the caller of run()) with a
-/// token-bucket accept throttle, N event-loop threads (service/EventLoop.h)
-/// each owning an epoll set of non-blocking connections, and a fixed
-/// worker pool executing `analyze` jobs from a bounded queue. Cheap ops
-/// (ping/stats/invalidate/metrics/flightrecord/shutdown) run inline on the
-/// loop thread; an analyze job carries its connection's reply slot to the
-/// worker, which answers through that connection's loop. The expected
+/// Threading model: one accept thread (the caller of run()), N event-loop
+/// threads (service/EventLoop.h) each owning an epoll set of non-blocking
+/// connections, and a fixed worker pool executing `analyze` jobs from a
+/// bounded queue. Cheap ops (ping/stats/invalidate/metrics/flightrecord/
+/// shutdown) run inline on the loop thread; an analyze job carries its
+/// connection's reply slot to the worker, which answers through that
+/// connection's loop. The expected
 /// responses for the golden and fuzz corpora are recorded in
 /// tests/golden/service_replay.jsonl, which the torture suite replays.
 ///
@@ -103,10 +103,6 @@ struct ServerOptions {
   /// Mid-frame read deadline (slow-loris defense); 0 disables. Idle
   /// connections between frames are never timed out.
   unsigned ReadTimeoutMs = 0;
-  /// Token-bucket accept throttle: sustained accepts/second (0 = off)
-  /// and burst size.
-  double AcceptRate = 0.0;
-  unsigned AcceptBurst = 64;
   /// Test-only syscall fault injection for the event loops.
   std::shared_ptr<FaultInjector> Faults;
 };

@@ -8,42 +8,22 @@
 
 #include "ir/IrPrinter.h"
 
+#include <algorithm>
+#include <tuple>
+
 using namespace lockin;
 using namespace lockin::ir;
 using namespace lockin::test;
 
 namespace {
 
-/// Collects the kinds of all primitive statements in execution order.
+/// Collects the kinds of all statements but Seq in execution order.
 void collectInsts(const IrStmt *S, std::vector<IrStmt::Kind> &Out) {
-  switch (S->kind()) {
-  case IrStmt::Kind::Seq:
-    for (const IrStmtPtr &Child : cast<SeqStmt>(S)->stmts())
-      collectInsts(Child.get(), Out);
-    return;
-  case IrStmt::Kind::If: {
-    const auto *I = cast<IfIrStmt>(S);
-    Out.push_back(S->kind());
-    collectInsts(I->thenStmt(), Out);
-    if (I->elseStmt())
-      collectInsts(I->elseStmt(), Out);
-    return;
-  }
-  case IrStmt::Kind::While: {
-    const auto *W = cast<WhileIrStmt>(S);
-    Out.push_back(S->kind());
-    collectInsts(W->prelude(), Out);
-    collectInsts(W->body(), Out);
-    return;
-  }
-  case IrStmt::Kind::Atomic:
-    Out.push_back(S->kind());
-    collectInsts(cast<AtomicIrStmt>(S)->body(), Out);
-    return;
-  default:
-    Out.push_back(S->kind());
-    return;
-  }
+  walkStmts(S, [&](const IrStmt *St, WalkContext) {
+    if (St->kind() != IrStmt::Kind::Seq)
+      Out.push_back(St->kind());
+    return true;
+  });
 }
 
 std::vector<IrStmt::Kind> instKinds(Compilation &C, const char *Fn) {
@@ -185,6 +165,70 @@ TEST(Lowering, NegationLowersToSubtraction) {
   std::vector<IrStmt::Kind> Kinds = instKinds(*C, "f");
   EXPECT_EQ(Kinds[0], IrStmt::Kind::ConstInt);
   EXPECT_EQ(Kinds[1], IrStmt::Kind::IntBin);
+}
+
+/// An if/else, a loop whose prelude and body both hold statements, an
+/// atomic inside that loop, and a loop inside an atomic.
+const char *const WalkerSource =
+    "int g;\n"
+    "void f(int n) {\n"
+    "  if (n == 0) { g = 1; } else { g = 2; }\n"
+    "  while (n > 0) { atomic { g = n; } n = n - 1; }\n"
+    "  atomic { while (g > 0) { g = g - 1; } }\n"
+    "}";
+
+using Visit = std::tuple<IrStmt::Kind, bool, bool>; // kind, InLoop, InAtomic
+
+std::vector<Visit> walkVisits(const IrStmt *Root, bool EnterAtomics) {
+  std::vector<Visit> Seen;
+  walkStmts(Root, [&](const IrStmt *S, WalkContext Ctx) {
+    Seen.emplace_back(S->kind(), Ctx.InLoop, Ctx.InAtomic);
+    return EnterAtomics || S->kind() != IrStmt::Kind::Atomic;
+  });
+  return Seen;
+}
+
+TEST(Walker, PreOrderWithLoopAndAtomicContext) {
+  std::unique_ptr<Compilation> C = compileOk(WalkerSource);
+  using K = IrStmt::Kind;
+  const bool T = true, F = false;
+  std::vector<Visit> Expected = {
+      // Function body; if (n == 0) { g = 1; } else { g = 2; }
+      {K::Seq, F, F}, {K::ConstInt, F, F}, {K::Cmp, F, F}, {K::If, F, F},
+      {K::Seq, F, F}, {K::ConstInt, F, F}, {K::Copy, F, F},
+      {K::Seq, F, F}, {K::ConstInt, F, F}, {K::Copy, F, F},
+      // while: prelude n > 0, then the body
+      {K::While, F, F},
+      {K::Seq, T, F}, {K::ConstInt, T, F}, {K::Cmp, T, F},
+      {K::Seq, T, F},
+      // atomic { g = n; } inside the loop
+      {K::Atomic, T, F}, {K::Seq, T, T}, {K::Copy, T, T},
+      // n = n - 1
+      {K::ConstInt, T, F}, {K::IntBin, T, F}, {K::Copy, T, F},
+      // atomic { while (g > 0) { g = g - 1; } }
+      {K::Atomic, F, F}, {K::Seq, F, T}, {K::While, F, T},
+      {K::Seq, T, T}, {K::ConstInt, T, T}, {K::Cmp, T, T},
+      {K::Seq, T, T}, {K::ConstInt, T, T}, {K::IntBin, T, T},
+      {K::Copy, T, T},
+  };
+  EXPECT_EQ(walkVisits(C->module().findFunction("f")->body(), true),
+            Expected);
+}
+
+TEST(Walker, FalseSkipsExactlyTheAtomicBodies) {
+  std::unique_ptr<Compilation> C = compileOk(WalkerSource);
+  const IrStmt *Body = C->module().findFunction("f")->body();
+  std::vector<Visit> Outside;
+  for (const Visit &V : walkVisits(Body, true))
+    if (!std::get<2>(V))
+      Outside.push_back(V);
+  std::vector<Visit> Skipped = walkVisits(Body, false);
+  EXPECT_EQ(Skipped, Outside);
+  EXPECT_EQ(std::count_if(Skipped.begin(), Skipped.end(),
+                          [](const Visit &V) {
+                            return std::get<0>(V) == IrStmt::Kind::Atomic;
+                          }),
+            2);
 }
 
 } // namespace
