@@ -18,6 +18,14 @@ bool Parser::expect(TokenKind Kind) {
   return false;
 }
 
+bool Parser::nestingTooDeep() {
+  if (Depth <= MaxNestingDepth)
+    return false;
+  errorHere("nesting too deep (limit " + std::to_string(MaxNestingDepth) +
+            ")");
+  return true;
+}
+
 bool Parser::startsType() const {
   if (Tok.is(TokenKind::KwInt) || Tok.is(TokenKind::KwVoid) ||
       Tok.is(TokenKind::KwStruct))
@@ -211,31 +219,24 @@ ExprPtr Parser::parsePostfix() {
 
 ExprPtr Parser::parseUnary() {
   SourceLoc Loc = Tok.Loc;
-  if (accept(TokenKind::Star)) {
-    ExprPtr Sub = parseUnary();
-    if (!Sub)
-      return nullptr;
-    return std::make_unique<UnaryExpr>(UnaryOp::Deref, std::move(Sub), Loc);
-  }
-  if (accept(TokenKind::Amp)) {
-    ExprPtr Sub = parseUnary();
-    if (!Sub)
-      return nullptr;
-    return std::make_unique<UnaryExpr>(UnaryOp::AddrOf, std::move(Sub), Loc);
-  }
-  if (accept(TokenKind::Minus)) {
-    ExprPtr Sub = parseUnary();
-    if (!Sub)
-      return nullptr;
-    return std::make_unique<UnaryExpr>(UnaryOp::Neg, std::move(Sub), Loc);
-  }
-  if (accept(TokenKind::Bang)) {
-    ExprPtr Sub = parseUnary();
-    if (!Sub)
-      return nullptr;
-    return std::make_unique<UnaryExpr>(UnaryOp::Not, std::move(Sub), Loc);
-  }
-  return parsePostfix();
+  UnaryOp Op;
+  if (accept(TokenKind::Star))
+    Op = UnaryOp::Deref;
+  else if (accept(TokenKind::Amp))
+    Op = UnaryOp::AddrOf;
+  else if (accept(TokenKind::Minus))
+    Op = UnaryOp::Neg;
+  else if (accept(TokenKind::Bang))
+    Op = UnaryOp::Not;
+  else
+    return parsePostfix();
+  NestingScope Level(Depth);
+  if (nestingTooDeep())
+    return nullptr;
+  ExprPtr Sub = parseUnary();
+  if (!Sub)
+    return nullptr;
+  return std::make_unique<UnaryExpr>(Op, std::move(Sub), Loc);
 }
 
 ExprPtr Parser::parseMultiplicative() {
@@ -351,7 +352,12 @@ ExprPtr Parser::parseOr() {
   return Lhs;
 }
 
-ExprPtr Parser::parseExpr() { return parseOr(); }
+ExprPtr Parser::parseExpr() {
+  NestingScope Level(Depth);
+  if (nestingTooDeep())
+    return nullptr;
+  return parseOr();
+}
 
 /// declstmt := type ID ('=' expr)? ';'
 StmtPtr Parser::parseDeclStmt() {
@@ -400,7 +406,18 @@ std::unique_ptr<BlockStmt> Parser::parseBlock() {
   return std::make_unique<BlockStmt>(std::move(Stmts), Loc);
 }
 
+/// The body of an if, else or while: a braced body is part of its
+/// statement's nesting level, so `if (c) {` nests one level, not two.
+StmtPtr Parser::parseBody() {
+  if (Tok.is(TokenKind::LBrace))
+    return parseBlock();
+  return parseStmt();
+}
+
 StmtPtr Parser::parseStmt() {
+  NestingScope Level(Depth);
+  if (nestingTooDeep())
+    return nullptr;
   SourceLoc Loc = Tok.Loc;
   switch (Tok.Kind) {
   case TokenKind::LBrace:
@@ -412,12 +429,12 @@ StmtPtr Parser::parseStmt() {
     ExprPtr Cond = parseExpr();
     if (!Cond || !expect(TokenKind::RParen))
       return nullptr;
-    StmtPtr Then = parseStmt();
+    StmtPtr Then = parseBody();
     if (!Then)
       return nullptr;
     StmtPtr Else;
     if (accept(TokenKind::KwElse)) {
-      Else = parseStmt();
+      Else = parseBody();
       if (!Else)
         return nullptr;
     }
@@ -431,7 +448,7 @@ StmtPtr Parser::parseStmt() {
     ExprPtr Cond = parseExpr();
     if (!Cond || !expect(TokenKind::RParen))
       return nullptr;
-    StmtPtr Body = parseStmt();
+    StmtPtr Body = parseBody();
     if (!Body)
       return nullptr;
     return std::make_unique<WhileStmt>(std::move(Cond), std::move(Body), Loc);

@@ -6,6 +6,7 @@
 
 #include "service/Json.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -225,104 +226,106 @@ private:
     return true;
   }
 
-  void appendUtf8(std::string &S, unsigned Code) {
+  static char *appendUtf8(char *D, unsigned Code) {
     if (Code < 0x80) {
-      S += static_cast<char>(Code);
+      *D++ = static_cast<char>(Code);
     } else if (Code < 0x800) {
-      S += static_cast<char>(0xC0 | (Code >> 6));
-      S += static_cast<char>(0x80 | (Code & 0x3F));
+      *D++ = static_cast<char>(0xC0 | (Code >> 6));
+      *D++ = static_cast<char>(0x80 | (Code & 0x3F));
     } else if (Code < 0x10000) {
-      S += static_cast<char>(0xE0 | (Code >> 12));
-      S += static_cast<char>(0x80 | ((Code >> 6) & 0x3F));
-      S += static_cast<char>(0x80 | (Code & 0x3F));
+      *D++ = static_cast<char>(0xE0 | (Code >> 12));
+      *D++ = static_cast<char>(0x80 | ((Code >> 6) & 0x3F));
+      *D++ = static_cast<char>(0x80 | (Code & 0x3F));
     } else {
-      S += static_cast<char>(0xF0 | (Code >> 18));
-      S += static_cast<char>(0x80 | ((Code >> 12) & 0x3F));
-      S += static_cast<char>(0x80 | ((Code >> 6) & 0x3F));
-      S += static_cast<char>(0x80 | (Code & 0x3F));
+      *D++ = static_cast<char>(0xF0 | (Code >> 18));
+      *D++ = static_cast<char>(0x80 | ((Code >> 12) & 0x3F));
+      *D++ = static_cast<char>(0x80 | ((Code >> 6) & 0x3F));
+      *D++ = static_cast<char>(0x80 | (Code & 0x3F));
     }
+    return D;
   }
 
+  /// Decodes through a raw cursor into \p S, which doubles whenever a
+  /// plain run plus one decoded escape (at most 4 bytes: decoded text is
+  /// never longer than its source) would not fit.
   bool parseString(std::string &S) {
     ++Cur; // opening quote
+    size_t Pos = S.size();
+    char *D = S.data() + Pos;
     while (true) {
+      const char *Hit = support::findJsonSpecial(Cur, End);
+      size_t Need = static_cast<size_t>(Hit - Cur) + 4;
+      if (static_cast<size_t>(S.data() + S.size() - D) < Need) {
+        Pos = D - S.data();
+        S.resize(std::max(2 * S.size(), Pos + Need));
+        D = S.data() + Pos;
+      }
+      if (Hit != Cur) {
+        std::memcpy(D, Cur, Hit - Cur);
+        D += Hit - Cur;
+        Cur = Hit;
+      }
       if (Cur == End)
         return fail("unterminated string");
-      unsigned char C = static_cast<unsigned char>(*Cur);
-      if (C == '"') {
+      if (*Cur == '"') {
         ++Cur;
+        S.resize(D - S.data());
         return true;
       }
-      if (C == '\\') {
-        ++Cur;
-        if (Cur == End)
-          return fail("unterminated escape");
-        char E = *Cur++;
-        switch (E) {
-        case '"':
-          S += '"';
-          break;
-        case '\\':
-          S += '\\';
-          break;
-        case '/':
-          S += '/';
-          break;
-        case 'n':
-          S += '\n';
-          break;
-        case 'r':
-          S += '\r';
-          break;
-        case 't':
-          S += '\t';
-          break;
-        case 'b':
-          S += '\b';
-          break;
-        case 'f':
-          S += '\f';
-          break;
-        case 'u': {
-          unsigned Code;
-          if (!parseHex4(Code))
-            return false;
-          // Surrogate pair: combine; a lone surrogate becomes U+FFFD.
-          if (Code >= 0xD800 && Code <= 0xDBFF) {
-            if (End - Cur >= 6 && Cur[0] == '\\' && Cur[1] == 'u') {
-              Cur += 2;
-              unsigned Low;
-              if (!parseHex4(Low))
-                return false;
-              if (Low >= 0xDC00 && Low <= 0xDFFF)
-                Code = 0x10000 + ((Code - 0xD800) << 10) + (Low - 0xDC00);
-              else
-                Code = 0xFFFD;
-            } else {
+      if (*Cur != '\\')
+        return fail("raw control character in string");
+      ++Cur;
+      if (Cur == End)
+        return fail("unterminated escape");
+      char E = *Cur++;
+      switch (E) {
+      case '"':
+      case '\\':
+      case '/':
+        *D++ = E;
+        break;
+      case 'n':
+        *D++ = '\n';
+        break;
+      case 'r':
+        *D++ = '\r';
+        break;
+      case 't':
+        *D++ = '\t';
+        break;
+      case 'b':
+        *D++ = '\b';
+        break;
+      case 'f':
+        *D++ = '\f';
+        break;
+      case 'u': {
+        unsigned Code;
+        if (!parseHex4(Code))
+          return false;
+        // Surrogate pair: combine; a lone surrogate becomes U+FFFD.
+        if (Code >= 0xD800 && Code <= 0xDBFF) {
+          if (End - Cur >= 6 && Cur[0] == '\\' && Cur[1] == 'u') {
+            Cur += 2;
+            unsigned Low;
+            if (!parseHex4(Low))
+              return false;
+            if (Low >= 0xDC00 && Low <= 0xDFFF)
+              Code = 0x10000 + ((Code - 0xD800) << 10) + (Low - 0xDC00);
+            else
               Code = 0xFFFD;
-            }
-          } else if (Code >= 0xDC00 && Code <= 0xDFFF) {
+          } else {
             Code = 0xFFFD;
           }
-          appendUtf8(S, Code);
-          break;
+        } else if (Code >= 0xDC00 && Code <= 0xDFFF) {
+          Code = 0xFFFD;
         }
-        default:
-          return fail("bad escape character");
-        }
-        continue;
+        D = appendUtf8(D, Code);
+        break;
       }
-      if (C < 0x20)
-        return fail("raw control character in string");
-      // Copy the run up to the next quote, backslash or control byte in
-      // one append.
-      const char *Run = Cur;
-      while (++Cur != End) {
-        unsigned char Next = static_cast<unsigned char>(*Cur);
-        if (Next == '"' || Next == '\\' || Next < 0x20)
-          break;
+      default:
+        return fail("bad escape character");
       }
-      S.append(Run, Cur);
     }
   }
 

@@ -56,6 +56,12 @@ bool writeExact(int Fd, const char *Buf, size_t Len, std::string &Err) {
   return true;
 }
 
+/// Stores \p Len as the 4-byte big-endian frame header at \p P.
+void putLength(char *P, size_t Len) {
+  for (int I = 3; I >= 0; --I, Len >>= 8)
+    P[I] = static_cast<char>(Len & 0xff);
+}
+
 } // namespace
 
 bool FrameAssembler::feed(const char *Data, size_t N,
@@ -99,11 +105,9 @@ bool FrameAssembler::feed(const char *Data, size_t N,
 
 void lockin::service::appendFrame(std::string &Out,
                                   std::string_view Payload) {
-  uint32_t Len = static_cast<uint32_t>(Payload.size());
-  Out.push_back(static_cast<char>((Len >> 24) & 0xff));
-  Out.push_back(static_cast<char>((Len >> 16) & 0xff));
-  Out.push_back(static_cast<char>((Len >> 8) & 0xff));
-  Out.push_back(static_cast<char>(Len & 0xff));
+  size_t Pos = Out.size();
+  Out.resize(Pos + 4);
+  putLength(Out.data() + Pos, Payload.size());
   Out.append(Payload);
 }
 
@@ -156,7 +160,15 @@ int lockin::service::readJson(int Fd, Json &Out, std::string &Err) {
 
 bool lockin::service::writeJson(int Fd, const Json &Message,
                                 std::string &Err) {
-  return writeFrame(Fd, Message.str(), Err);
+  // Serialize straight after a header placeholder: no payload copy.
+  std::string Buf(4, '\0');
+  Message.write(Buf);
+  if (Buf.size() - 4 > MaxFrameBytes) {
+    Err = "frame too large";
+    return false;
+  }
+  putLength(Buf.data(), Buf.size() - 4);
+  return writeExact(Fd, Buf.data(), Buf.size(), Err);
 }
 
 Json lockin::service::errorResponse(std::string_view Message) {

@@ -611,7 +611,7 @@ Json Server::handleAnalyze(const Json &Request,
     R.set("error", Json::string(Out.Error));
     return R;
   }
-  R.set("report", Json::string(Out.Report));
+  R.set("report", Json::string(std::move(Out.Report)));
   R.set("sections", Json::integer(Out.Sections));
   R.set("cacheHits", Json::integer(Out.CacheHits));
   R.set("cacheMisses", Json::integer(Out.CacheMisses));

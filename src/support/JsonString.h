@@ -11,6 +11,10 @@
 /// short forms; other control characters become \u00XX; every other byte
 /// (UTF-8 included) is copied as is.
 ///
+/// The escaper and the service's JSON parser share one scan that tests 8
+/// bytes per step for the bytes a JSON string cannot hold as is, so a
+/// run of plain bytes is copied with one memcpy.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LOCKIN_SUPPORT_JSONSTRING_H
@@ -21,6 +25,10 @@
 
 namespace lockin {
 namespace support {
+
+/// Returns the first byte in [\p I, \p E) that is a control byte (< 0x20),
+/// '"' or '\\', or \p E if there is none.
+const char *findJsonSpecial(const char *I, const char *E);
 
 /// Escapes \p S as a JSON string literal (with quotes) into \p Out.
 void appendJsonString(std::string &Out, std::string_view S);

@@ -68,6 +68,52 @@ inline std::string fuzzRepro(const char *Family, uint64_t Seed, unsigned K,
   return "\nreproduce: " + Cmd;
 }
 
+/// The nesting shapes the parser's depth budget must hold at its limit.
+enum class NestKind { Parens, Unary, Call, If, While, Atomic, Block };
+inline constexpr NestKind AllNestKinds[] = {
+    NestKind::Parens, NestKind::Unary,  NestKind::Call, NestKind::If,
+    NestKind::While,  NestKind::Atomic, NestKind::Block};
+
+/// A program whose main nests \p Levels levels of \p Kind around one
+/// assignment of 1 (or -1: an odd chain of unary minus) to the value main
+/// returns. The assignment statement and its expression take two nesting
+/// levels of their own, so the parser's deepest point is Levels + 2.
+inline std::string deepNest(NestKind Kind, unsigned Levels) {
+  auto Repeat = [Levels](const char *Piece) {
+    std::string S;
+    for (unsigned I = 0; I < Levels; ++I)
+      S += Piece;
+    return S;
+  };
+  std::string Body;
+  switch (Kind) {
+  case NestKind::Parens:
+    Body = "x = " + Repeat("(") + "1" + Repeat(")") + ";";
+    break;
+  case NestKind::Unary:
+    Body = "x = " + Repeat("- ") + "1;";
+    break;
+  case NestKind::Call:
+    Body = "x = " + Repeat("f(") + "1" + Repeat(")") + ";";
+    break;
+  case NestKind::If:
+    Body = Repeat("if (x == 0) {\n") + "x = 1;\n" + Repeat("}");
+    break;
+  case NestKind::While:
+    Body = Repeat("while (x == 0) ") + "x = 1;";
+    break;
+  case NestKind::Atomic:
+    Body = Repeat("atomic { ") + "x = 1;" + Repeat(" }");
+    break;
+  case NestKind::Block:
+    Body = Repeat("{ ") + "x = 1;" + Repeat(" }");
+    break;
+  }
+  return "int f(int a) { return a; }\n"
+         "int main() { int x; x = 0;\n" +
+         Body + "\nreturn x; }\n";
+}
+
 } // namespace test
 } // namespace lockin
 

@@ -4,12 +4,16 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
 #include "lang/AstPrinter.h"
 #include "lang/Parser.h"
 
 #include <gtest/gtest.h>
 
 using namespace lockin;
+using lockin::test::AllNestKinds;
+using lockin::test::deepNest;
+using lockin::test::NestKind;
 
 namespace {
 
@@ -194,6 +198,40 @@ TEST(Parser, UnknownTypeName) {
   // ... while a bare unknown identifier parses as a multiplication and is
   // rejected later by sema (expression statements must be calls).
   parseOk("void f() { widget * w; }");
+}
+
+/// The parse of \p Source fails with the nesting diagnostic.
+void failsTooDeep(const std::string &Source) {
+  DiagnosticEngine Diags;
+  Parser P(Source, Diags);
+  EXPECT_EQ(P.parseProgram(), nullptr);
+  EXPECT_NE(Diags.str().find("nesting too deep (limit " +
+                             std::to_string(Parser::MaxNestingDepth) + ")"),
+            std::string::npos)
+      << Diags.str();
+}
+
+TEST(Parser, NestingBudgetHoldsForEveryKind) {
+  // deepNest(Kind, L) reaches depth L + 2: exactly the limit passes, one
+  // level more is diagnosed.
+  constexpr unsigned Limit = Parser::MaxNestingDepth;
+  for (NestKind Kind : AllNestKinds) {
+    SCOPED_TRACE(static_cast<int>(Kind));
+    parseOk(deepNest(Kind, Limit - 2));
+    failsTooDeep(deepNest(Kind, Limit - 1));
+  }
+  // Kinds add up: half the budget of parens inside half of ifs is over.
+  std::string Mixed = deepNest(NestKind::If, Limit / 2);
+  Mixed.replace(Mixed.find("x = 1;"), 6,
+                "x = " + std::string(Limit / 2, '(') + "1" +
+                    std::string(Limit / 2, ')') + ";");
+  failsTooDeep(Mixed);
+}
+
+TEST(Parser, FarTooDeepNestsAreDiagnosedWithoutRecursingFurther) {
+  failsTooDeep("int main() { int x; x = " + std::string(200000, '(') + "1" +
+               std::string(200000, ')') + "; return x; }");
+  failsTooDeep(deepNest(NestKind::If, 20000));
 }
 
 } // namespace

@@ -23,6 +23,7 @@
 #include "TestUtil.h"
 #include "driver/Cli.h"
 #include "ir/IrPrinter.h"
+#include "lang/Parser.h"
 #include "workloads/ToyPrograms.h"
 
 #include <gtest/gtest.h>
@@ -187,6 +188,25 @@ TEST(PipelineStats, UnreachableFunctionIsNotSummarized) {
   // including for `never`, which main never calls.
   EXPECT_LT(Inf.ReachableFunctions, Inf.Functions);
   EXPECT_EQ(Inf.Summaries.Evaluations, 0u);
+}
+
+TEST(PipelineDepth, DeepestAcceptedNestCompilesChecksAndRuns) {
+  // Every pass after the parser recurses on the tree the parser's nesting
+  // budget bounds: at the limit, each of them must still fit its stack.
+  constexpr unsigned Levels = Parser::MaxNestingDepth - 2;
+  for (NestKind Kind : AllNestKinds) {
+    SCOPED_TRACE(static_cast<int>(Kind));
+    CompileOptions Options;
+    Options.Jobs = 1;
+    Options.Check = true;
+    std::unique_ptr<Compilation> C = compile(deepNest(Kind, Levels), Options);
+    ASSERT_TRUE(C->ok()) << C->diagnostics().str();
+    EXPECT_NE(C->checkReport(), nullptr);
+    EXPECT_FALSE(C->report().empty());
+    InterpResult R = C->run(InterpOptions());
+    ASSERT_TRUE(R.Ok) << R.Error;
+    EXPECT_EQ(R.MainResult, Kind == NestKind::Unary && Levels % 2 ? -1 : 1);
+  }
 }
 
 /// Drives cli::parseArgs the way main() does, without a process spawn.

@@ -29,6 +29,7 @@
 #include "TestUtil.h"
 #include "driver/Compiler.h"
 #include "infer/SummaryCache.h"
+#include "lang/Parser.h"
 #include "obs/Obs.h"
 #include "service/Client.h"
 #include "service/Fingerprint.h"
@@ -141,6 +142,123 @@ TEST(Json, StrictParseRejections) {
   std::string Deep(100, '[');
   Deep += std::string(100, ']');
   EXPECT_TRUE(parseFails(Deep));
+}
+
+/// The escape of one byte, from a table independent of the escaper.
+std::string tableEscape(unsigned char C) {
+  static const std::string Short[0x20] = {
+      "\\u0000", "\\u0001", "\\u0002", "\\u0003", "\\u0004", "\\u0005",
+      "\\u0006", "\\u0007", "\\b",     "\\t",     "\\n",     "\\u000b",
+      "\\f",     "\\r",     "\\u000e", "\\u000f", "\\u0010", "\\u0011",
+      "\\u0012", "\\u0013", "\\u0014", "\\u0015", "\\u0016", "\\u0017",
+      "\\u0018", "\\u0019", "\\u001a", "\\u001b", "\\u001c", "\\u001d",
+      "\\u001e", "\\u001f"};
+  if (C < 0x20)
+    return Short[C];
+  if (C == '"')
+    return "\\\"";
+  if (C == '\\')
+    return "\\\\";
+  return std::string(1, static_cast<char>(C));
+}
+
+/// \p S as a JSON literal, escaped byte by byte through the table.
+std::string tableLiteral(std::string_view S) {
+  std::string Out = "\"";
+  for (char C : S)
+    Out += tableEscape(static_cast<unsigned char>(C));
+  return Out + "\"";
+}
+
+/// \p S escapes to exactly its table literal, after a kept prefix, and the
+/// literal parses back to \p S. Returns false (once reported) on a miss,
+/// so sweeps stop at the first failure.
+bool escapesExactly(const std::string &S) {
+  std::string Out = "x:";
+  appendJsonString(Out, S);
+  std::string Want = "x:" + tableLiteral(S);
+  EXPECT_EQ(Out, Want);
+  Json Back;
+  std::string Err;
+  bool Parsed = Json::parse(std::string_view(Out).substr(2), Back, Err);
+  EXPECT_TRUE(Parsed) << Err;
+  bool Same = Parsed && Back.kind() == Json::Kind::String &&
+              Back.asString() == S;
+  EXPECT_TRUE(Same) << "round trip of a " << S.size() << "-byte string";
+  return Out == Want && Same;
+}
+
+/// The parse error of \p Text, or "" when it parses.
+std::string parseError(const std::string &Text) {
+  Json Out;
+  std::string Err;
+  return Json::parse(Text, Out, Err) ? "" : Err;
+}
+
+TEST(JsonKernel, EveryByteAtEveryOffsetEscapesByTheTable) {
+  for (size_t Len = 1; Len <= 40; ++Len)
+    for (size_t Off = 0; Off < Len && Off < 16; ++Off)
+      for (unsigned B = 0; B <= 0xff; ++B) {
+        std::string S(Len, 'a');
+        S[Off] = static_cast<char>(B);
+        ASSERT_TRUE(escapesExactly(S))
+            << "byte " << B << " at " << Off << " of " << Len;
+      }
+}
+
+TEST(JsonKernel, NearMissesRightAfterAHitAreCopied) {
+  // A SWAR borrow out of a true hit can flag the byte above it; these are
+  // the bytes one step from a hit in each mask, and the high-bit bytes.
+  const unsigned char Hits[] = {0x00, 0x1f, '\n', '"', '\\'};
+  const unsigned char Misses[] = {0x20, 0x21, 0x23, 0x5b, 0x5d,
+                                  0x7f, 0x80, 0xff};
+  for (unsigned char Hit : Hits)
+    for (unsigned char Miss : Misses)
+      for (size_t Off = 0; Off < 16; ++Off) {
+        std::string S(Off, 'a');
+        S += static_cast<char>(Hit);
+        S += std::string(9, static_cast<char>(Miss));
+        S += "tail";
+        ASSERT_TRUE(escapesExactly(S))
+            << "hit " << unsigned(Hit) << ", miss " << unsigned(Miss)
+            << " at " << Off;
+      }
+}
+
+TEST(JsonKernel, RawControlBytesAreRejectedInWordsAndTail) {
+  // Contents of up to 24 bytes put a control byte at offsets 0-17 both
+  // inside an 8-byte step and in the byte tail after the last full step.
+  for (size_t Len = 1; Len <= 24; ++Len)
+    for (size_t Off = 0; Off < Len && Off < 18; ++Off)
+      for (char C : {'\x00', '\x01', '\n', '\x1f'}) {
+        std::string Text = "\"" + std::string(Len, 'a') + "\"";
+        Text[1 + Off] = C;
+        ASSERT_EQ(parseError(Text), "raw control character in string")
+            << "byte " << int(C) << " at " << Off << " of " << Len;
+      }
+}
+
+TEST(JsonKernel, UnterminatedStringsFailAtEveryLength) {
+  for (size_t Len = 0; Len <= 17; ++Len) {
+    std::string Open = "\"" + std::string(Len, 'a');
+    EXPECT_EQ(parseError(Open), "unterminated string") << Len;
+    EXPECT_EQ(parseError(Open + "\\n"), "unterminated string") << Len;
+    EXPECT_EQ(parseError(Open + "\\"), "unterminated escape") << Len;
+  }
+}
+
+TEST(JsonKernel, LongPlainAndAllEscapeStrings) {
+  std::string Plain(1 << 20, 'p');
+  for (size_t I = 0; I < Plain.size(); I += 97)
+    Plain[I] = static_cast<char>('A' + I % 26);
+  EXPECT_TRUE(escapesExactly(Plain));
+
+  // Every byte escapes, most of them to six: the escaper's margin runs out
+  // and its buffer grows, as does the parser's.
+  std::string Escapes(64 << 10, '\0');
+  for (size_t I = 0; I < Escapes.size(); ++I)
+    Escapes[I] = "\x01\"\\\n\x1f"[I % 5];
+  EXPECT_TRUE(escapesExactly(Escapes));
 }
 
 //===----------------------------------------------------------------------===//
@@ -940,6 +1058,37 @@ TEST(Server, EndToEndColdWarmInvalidate) {
   EXPECT_FALSE(Resp.getBool("ok", true));
   ASSERT_TRUE(C.call(opRequest("ping"), Resp, Err)) << Err;
   EXPECT_TRUE(Resp.getBool("ok", false));
+}
+
+TEST(Server, TooDeepNestIsDiagnosedAndTheDaemonKeepsServing) {
+  std::string Path = testSocketPath("deep");
+  ServerOptions Opts;
+  Opts.UnixSocketPath = Path;
+  Opts.Workers = 1;
+  RunningServer RS(Opts);
+  ASSERT_TRUE(RS.Started);
+
+  Client C;
+  std::string Err;
+  ASSERT_TRUE(C.connectUnix(Path, Err)) << Err;
+  Json Resp;
+  std::string Deep = "int main() { int x; x = " + std::string(200000, '(') +
+                     "1" + std::string(200000, ')') + "; return x; }";
+  ASSERT_TRUE(C.call(analyzeRequest("deep.atom", Deep), Resp, Err)) << Err;
+  EXPECT_FALSE(Resp.getBool("ok", true));
+  EXPECT_NE(Resp.getString("error", "").find(
+                "nesting too deep (limit " +
+                std::to_string(Parser::MaxNestingDepth) + ")"),
+            std::string::npos)
+      << Resp.getString("error", "");
+
+  ASSERT_TRUE(C.call(opRequest("ping"), Resp, Err)) << Err;
+  EXPECT_TRUE(Resp.getBool("pong", false));
+
+  std::string Source = coneProgram(1);
+  ASSERT_TRUE(C.call(analyzeRequest("u.atom", Source), Resp, Err)) << Err;
+  ASSERT_TRUE(Resp.getBool("ok", false)) << Resp.getString("error", "");
+  EXPECT_EQ(Resp.getString("report", ""), oneShotReport(Source));
 }
 
 TEST(Server, ShutdownRequestDrains) {
