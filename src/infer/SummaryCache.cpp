@@ -48,16 +48,18 @@ bool SummaryCache::lookup(uint64_t Key, SectionSummary &Out) {
 }
 
 std::shared_ptr<const std::string>
-SummaryCache::ShardT::internText(std::shared_ptr<const std::string> Text) {
+SummaryCache::ShardT::internText(std::shared_ptr<const std::string> Text,
+                                 size_t &Hash) {
   if (!Text)
     return Text;
-  size_t H = std::hash<std::string>{}(*Text);
-  auto &Bucket = TextPool[H];
+  Hash = std::hash<std::string>{}(*Text);
+  auto &Bucket = TextPool[Hash];
   for (size_t I = 0; I < Bucket.size();) {
     std::shared_ptr<const std::string> Live = Bucket[I].lock();
     if (!Live) {
       Bucket[I] = Bucket.back();
       Bucket.pop_back();
+      --PooledTexts;
       continue;
     }
     if (*Live == *Text) {
@@ -67,7 +69,29 @@ SummaryCache::ShardT::internText(std::shared_ptr<const std::string> Text) {
     ++I;
   }
   Bucket.push_back(Text);
+  ++PooledTexts;
   return Text;
+}
+
+void SummaryCache::ShardT::releaseText(EntryT &E) {
+  if (!E.Value.LocksText)
+    return;
+  E.Value.LocksText.reset();
+  auto It = TextPool.find(E.TextHash);
+  if (It == TextPool.end())
+    return;
+  auto &Bucket = It->second;
+  for (size_t I = 0; I < Bucket.size();) {
+    if (Bucket[I].expired()) {
+      Bucket[I] = Bucket.back();
+      Bucket.pop_back();
+      --PooledTexts;
+      continue;
+    }
+    ++I;
+  }
+  if (Bucket.empty())
+    TextPool.erase(It);
 }
 
 void SummaryCache::insert(uint64_t Key, SectionSummary Value) {
@@ -77,17 +101,22 @@ void SummaryCache::insert(uint64_t Key, SectionSummary Value) {
   std::lock_guard<std::mutex> Lock(S.Mu);
   if (S.Capacity == 0)
     return;
-  Value.LocksText = S.internText(std::move(Value.LocksText));
+  size_t TextHash = 0;
+  Value.LocksText = S.internText(std::move(Value.LocksText), TextHash);
   auto It = S.Index.find(Key);
   if (It != S.Index.end()) {
-    It->second->Value = std::move(Value);
+    EntryT &E = *It->second;
+    S.releaseText(E);
+    E.Value = std::move(Value);
+    E.TextHash = TextHash;
     S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
     return;
   }
-  S.Lru.push_front(EntryT{Key, std::move(Value)});
+  S.Lru.push_front(EntryT{Key, std::move(Value), TextHash});
   S.Index[Key] = S.Lru.begin();
   ++S.Counters.Insertions;
   while (S.Index.size() > S.Capacity) {
+    S.releaseText(S.Lru.back());
     S.Index.erase(S.Lru.back().Key);
     S.Lru.pop_back();
     ++S.Counters.Evictions;
@@ -100,6 +129,7 @@ void SummaryCache::erase(uint64_t Key) {
   auto It = S.Index.find(Key);
   if (It == S.Index.end())
     return;
+  S.releaseText(*It->second);
   S.Lru.erase(It->second);
   S.Index.erase(It);
   ++S.Counters.Invalidations;
@@ -113,6 +143,7 @@ void SummaryCache::clear() {
     S.Index.clear();
     S.Lru.clear();
     S.TextPool.clear();
+    S.PooledTexts = 0;
   }
 }
 
@@ -127,6 +158,7 @@ SummaryCache::Stats SummaryCache::stats() const {
     Out.Invalidations += S.Invalidations;
     Out.TextPoolHits += S.TextPoolHits;
     Out.Entries += S.Entries;
+    Out.PooledTexts += S.PooledTexts;
   }
   Out.Capacity = TotalCapacity;
   return Out;
@@ -137,6 +169,7 @@ SummaryCache::Stats SummaryCache::shardStats(size_t Shard) const {
   std::lock_guard<std::mutex> Lock(S.Mu);
   Stats Out = S.Counters;
   Out.Entries = S.Index.size();
+  Out.PooledTexts = S.PooledTexts;
   Out.Capacity = S.Capacity;
   return Out;
 }

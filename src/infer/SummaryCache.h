@@ -8,10 +8,11 @@
 /// The incremental layer's persistent store: rendered per-section lock
 /// summaries keyed by a 64-bit content hash. A key captures everything the
 /// section's inferred lock set depends on — the normalized IR of its
-/// enclosing function, the normalized IR of every function transitively
-/// callable from that function's SCC (via the condensation closure hash),
-/// the canonicalized points-to region signature of that closure, and k —
-/// so a hit may be served without re-running the analysis and is
+/// top-level section's body and of its function outside every section
+/// body, the normalized IR of every function its callee SCCs can
+/// transitively call (via the condensation closure hashes), the points-to
+/// region signature of that closure, and k — so a hit may be served
+/// without re-running the analysis and is
 /// guaranteed byte-identical to a cold run (see service/Fingerprint.h for
 /// the key construction, DESIGN.md "Service & incremental analysis" for
 /// the argument).
@@ -82,6 +83,10 @@ public:
     uint64_t Invalidations = 0; ///< explicit erase/clear removals
     uint64_t TextPoolHits = 0;  ///< inserts served by an existing text
     size_t Entries = 0;
+    /// Texts the pool tracks: the distinct texts of resident entries, plus
+    /// any an evicted entry left alive elsewhere (until their bucket is
+    /// visited again).
+    size_t PooledTexts = 0;
     size_t Capacity = 0;
   };
 
@@ -115,6 +120,7 @@ private:
   struct EntryT {
     uint64_t Key;
     SectionSummary Value;
+    size_t TextHash = 0; ///< the pool bucket of Value.LocksText
   };
 
   /// One mutex domain: its own LRU, index, text pool, and counters.
@@ -124,14 +130,22 @@ private:
     std::list<EntryT> Lru; // front = most recent
     std::unordered_map<uint64_t, std::list<EntryT>::iterator> Index;
     /// Text pool: string hash -> live texts with that hash. Weak refs so
-    /// eviction actually frees the text once the last entry drops it.
+    /// eviction actually frees the text once the last entry drops it;
+    /// dropping an entry's text prunes its bucket, so dead refs (each
+    /// pinning a control block) do not pile up.
     std::unordered_map<size_t,
                        std::vector<std::weak_ptr<const std::string>>>
         TextPool;
+    size_t PooledTexts = 0;
     Stats Counters;
 
+    /// Returns the pooled text equal to \p Text (pooling it if new) and
+    /// sets \p Hash to its bucket.
     std::shared_ptr<const std::string>
-    internText(std::shared_ptr<const std::string> Text);
+    internText(std::shared_ptr<const std::string> Text, size_t &Hash);
+    /// Drops \p E's text and prunes its bucket's expired refs, erasing
+    /// the bucket once it is empty.
+    void releaseText(EntryT &E);
   };
 
   size_t TotalCapacity;

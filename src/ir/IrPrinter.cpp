@@ -49,8 +49,9 @@ namespace {
 /// every level appends in place, so printing is linear in the output.
 class StmtPrinter {
 public:
-  StmtPrinter(std::string &Out, const SectionAnnotator &Annotate)
-      : Out(Out), Annotate(Annotate) {}
+  StmtPrinter(std::string &Out, const SectionAnnotator &Annotate,
+              std::vector<SectionSpan> *Spans)
+      : Out(Out), Annotate(Annotate), Spans(Spans) {}
 
   void print(const IrStmt *S, unsigned Indent);
 
@@ -71,6 +72,7 @@ private:
 
   std::string &Out;
   const SectionAnnotator &Annotate;
+  std::vector<SectionSpan> *Spans;
 };
 
 void StmtPrinter::print(const IrStmt *S, unsigned Indent) {
@@ -175,7 +177,12 @@ void StmtPrinter::print(const IrStmt *S, unsigned Indent) {
     std::string Annotation = Annotate ? Annotate(A->sectionId()) : "";
     if (Annotation.empty()) {
       line(Indent, "atomic #", std::to_string(A->sectionId()), " {\n");
+      size_t Span = Spans ? Spans->size() : 0;
+      if (Spans)
+        Spans->push_back({A->sectionId(), Out.size(), 0});
       print(A->body(), Indent + 1);
+      if (Spans)
+        (*Spans)[Span].End = Out.size();
       line(Indent, "}\n");
       return;
     }
@@ -209,7 +216,8 @@ void StmtPrinter::print(const IrStmt *S, unsigned Indent) {
 } // namespace
 
 void ir::printIrFunction(const IrFunction &F, std::string &Out,
-                         const SectionAnnotator &Annotate) {
+                         const SectionAnnotator &Annotate,
+                         std::vector<SectionSpan> *Spans) {
   Out += F.returnType()->str() + " " + F.name() + "(";
   for (unsigned I = 0; I < F.numParams(); ++I) {
     if (I != 0)
@@ -217,7 +225,7 @@ void ir::printIrFunction(const IrFunction &F, std::string &Out,
     Out += F.param(I)->type()->str() + " " + F.param(I)->name();
   }
   Out += ") {\n";
-  StmtPrinter(Out, Annotate).print(F.body(), 1);
+  StmtPrinter(Out, Annotate, Spans).print(F.body(), 1);
   Out += "}\n";
 }
 

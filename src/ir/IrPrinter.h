@@ -9,8 +9,10 @@
 
 #include "ir/Ir.h"
 
+#include <cstddef>
 #include <functional>
 #include <string>
+#include <vector>
 
 namespace lockin {
 namespace ir {
@@ -19,10 +21,23 @@ namespace ir {
 /// When absent (or returning ""), sections print as plain `atomic`.
 using SectionAnnotator = std::function<std::string(uint32_t SectionId)>;
 
+/// Where one atomic section's body sits in a printed function: the byte
+/// range [Begin, End) of \p Out between its `atomic #N {` line and its
+/// closing `}` line.
+struct SectionSpan {
+  uint32_t SectionId = 0;
+  size_t Begin = 0;
+  size_t End = 0;
+};
+
 /// Appends one function to \p Out. Printing appends in place, so it takes
-/// time linear in the text it produces, however deep the nesting.
+/// time linear in the text it produces, however deep the nesting. Without
+/// an annotator, \p Spans (if given) receives one span per section in
+/// lexical order, so a nested section's span follows, and lies inside,
+/// the span of the section around it.
 void printIrFunction(const IrFunction &F, std::string &Out,
-                     const SectionAnnotator &Annotate = {});
+                     const SectionAnnotator &Annotate = {},
+                     std::vector<SectionSpan> *Spans = nullptr);
 
 /// Renders the whole module. With an annotator this shows the transformed
 /// output program: atomic sections become acquireAll(...)/releaseAll pairs.

@@ -7,7 +7,7 @@
 #include "lang/Lexer.h"
 
 #include <cctype>
-#include <unordered_map>
+#include <cstring>
 
 using namespace lockin;
 
@@ -113,6 +113,11 @@ char Lexer::advance() {
 void Lexer::skipTrivia() {
   while (Pos < Source.size()) {
     char C = peek();
+    if (C == ' ') {
+      ++Pos;
+      ++Col;
+      continue;
+    }
     if (std::isspace(static_cast<unsigned char>(C))) {
       advance();
       continue;
@@ -140,17 +145,55 @@ void Lexer::skipTrivia() {
   }
 }
 
-static TokenKind keywordKind(const std::string &Text) {
-  static const std::unordered_map<std::string, TokenKind> Keywords = {
-      {"struct", TokenKind::KwStruct}, {"int", TokenKind::KwInt},
-      {"void", TokenKind::KwVoid},     {"if", TokenKind::KwIf},
-      {"else", TokenKind::KwElse},     {"while", TokenKind::KwWhile},
-      {"return", TokenKind::KwReturn}, {"atomic", TokenKind::KwAtomic},
-      {"new", TokenKind::KwNew},       {"null", TokenKind::KwNull},
-      {"spawn", TokenKind::KwSpawn},   {"assert", TokenKind::KwAssert},
+static bool isIdentStart(char C) {
+  return (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') || C == '_';
+}
+
+static bool isIdentChar(char C) {
+  return isIdentStart(C) || (C >= '0' && C <= '9');
+}
+
+static TokenKind keywordKind(std::string_view Text) {
+  auto Is = [&](const char *Kw) {
+    return std::memcmp(Text.data(), Kw, Text.size()) == 0;
   };
-  auto It = Keywords.find(Text);
-  return It == Keywords.end() ? TokenKind::Identifier : It->second;
+  switch (Text.size()) {
+  case 2:
+    if (Is("if"))
+      return TokenKind::KwIf;
+    break;
+  case 3:
+    if (Is("int"))
+      return TokenKind::KwInt;
+    if (Is("new"))
+      return TokenKind::KwNew;
+    break;
+  case 4:
+    if (Is("void"))
+      return TokenKind::KwVoid;
+    if (Is("else"))
+      return TokenKind::KwElse;
+    if (Is("null"))
+      return TokenKind::KwNull;
+    break;
+  case 5:
+    if (Is("while"))
+      return TokenKind::KwWhile;
+    if (Is("spawn"))
+      return TokenKind::KwSpawn;
+    break;
+  case 6:
+    if (Is("struct"))
+      return TokenKind::KwStruct;
+    if (Is("return"))
+      return TokenKind::KwReturn;
+    if (Is("atomic"))
+      return TokenKind::KwAtomic;
+    if (Is("assert"))
+      return TokenKind::KwAssert;
+    break;
+  }
+  return TokenKind::Identifier;
 }
 
 Token Lexer::lex() {
@@ -161,15 +204,18 @@ Token Lexer::lex() {
 
   char C = advance();
 
-  if (std::isalpha(static_cast<unsigned char>(C)) || C == '_') {
-    std::string Text(1, C);
-    while (std::isalnum(static_cast<unsigned char>(peek())) || peek() == '_')
-      Text += advance();
+  if (isIdentStart(C)) {
+    // Scanned in place: an identifier never spans a line.
+    size_t Begin = Pos - 1;
+    while (Pos < Source.size() && isIdentChar(Source[Pos]))
+      ++Pos;
+    Col += static_cast<uint32_t>(Pos - Begin - 1);
+    std::string_view Text = Source.substr(Begin, Pos - Begin);
     Token Tok;
     Tok.Kind = keywordKind(Text);
     Tok.Loc = Start;
     if (Tok.Kind == TokenKind::Identifier)
-      Tok.Text = std::move(Text);
+      Tok.Text.assign(Text);
     return Tok;
   }
 

@@ -239,124 +239,82 @@ ExprPtr Parser::parseUnary() {
   return std::make_unique<UnaryExpr>(Op, std::move(Sub), Loc);
 }
 
-ExprPtr Parser::parseMultiplicative() {
+namespace {
+
+/// One binary operator: its AST opcode and binding strength (higher binds
+/// tighter). Prec 0 marks a token that is no binary operator.
+struct BinaryInfo {
+  BinaryOp Op = BinaryOp::Add;
+  unsigned Prec = 0;
+  bool Chains = true; ///< left-associative; comparisons do not chain
+};
+
+BinaryInfo binaryInfo(TokenKind Kind) {
+  switch (Kind) {
+  case TokenKind::PipePipe:
+    return {BinaryOp::Or, 1};
+  case TokenKind::AmpAmp:
+    return {BinaryOp::And, 2};
+  case TokenKind::EqEq:
+    return {BinaryOp::Eq, 3, false};
+  case TokenKind::NotEq:
+    return {BinaryOp::Ne, 3, false};
+  case TokenKind::Less:
+    return {BinaryOp::Lt, 3, false};
+  case TokenKind::LessEq:
+    return {BinaryOp::Le, 3, false};
+  case TokenKind::Greater:
+    return {BinaryOp::Gt, 3, false};
+  case TokenKind::GreaterEq:
+    return {BinaryOp::Ge, 3, false};
+  case TokenKind::Plus:
+    return {BinaryOp::Add, 4};
+  case TokenKind::Minus:
+    return {BinaryOp::Sub, 4};
+  case TokenKind::Star:
+    return {BinaryOp::Mul, 5};
+  case TokenKind::Slash:
+    return {BinaryOp::Div, 5};
+  case TokenKind::Percent:
+    return {BinaryOp::Rem, 5};
+  default:
+    return {};
+  }
+}
+
+} // namespace
+
+/// Precedence climbing: parses operators binding at least as tightly as
+/// \p MinPrec. After an operator of precedence P, only operators below
+/// P + 1 (below P for a comparison) may continue the loop: the right
+/// operand already took every tighter one, so a later operator at or
+/// above that ceiling is one the right operand refused — a second
+/// comparison — and is left for the caller to reject.
+ExprPtr Parser::parseBinary(unsigned MinPrec) {
   ExprPtr Lhs = parseUnary();
   if (!Lhs)
     return nullptr;
+  unsigned Ceiling = ~0u;
   while (true) {
-    BinaryOp Op;
-    if (Tok.is(TokenKind::Star))
-      Op = BinaryOp::Mul;
-    else if (Tok.is(TokenKind::Slash))
-      Op = BinaryOp::Div;
-    else if (Tok.is(TokenKind::Percent))
-      Op = BinaryOp::Rem;
-    else
+    BinaryInfo Info = binaryInfo(Tok.Kind);
+    if (Info.Prec == 0 || Info.Prec < MinPrec || Info.Prec >= Ceiling)
       return Lhs;
     SourceLoc Loc = Tok.Loc;
     consume();
-    ExprPtr Rhs = parseUnary();
+    ExprPtr Rhs = parseBinary(Info.Prec + 1);
     if (!Rhs)
       return nullptr;
-    Lhs = std::make_unique<BinaryExpr>(Op, std::move(Lhs), std::move(Rhs),
-                                       Loc);
-  }
-}
-
-ExprPtr Parser::parseAdditive() {
-  ExprPtr Lhs = parseMultiplicative();
-  if (!Lhs)
-    return nullptr;
-  while (true) {
-    BinaryOp Op;
-    if (Tok.is(TokenKind::Plus))
-      Op = BinaryOp::Add;
-    else if (Tok.is(TokenKind::Minus))
-      Op = BinaryOp::Sub;
-    else
-      return Lhs;
-    SourceLoc Loc = Tok.Loc;
-    consume();
-    ExprPtr Rhs = parseMultiplicative();
-    if (!Rhs)
-      return nullptr;
-    Lhs = std::make_unique<BinaryExpr>(Op, std::move(Lhs), std::move(Rhs),
-                                       Loc);
-  }
-}
-
-ExprPtr Parser::parseComparison() {
-  ExprPtr Lhs = parseAdditive();
-  if (!Lhs)
-    return nullptr;
-  BinaryOp Op;
-  switch (Tok.Kind) {
-  case TokenKind::EqEq:
-    Op = BinaryOp::Eq;
-    break;
-  case TokenKind::NotEq:
-    Op = BinaryOp::Ne;
-    break;
-  case TokenKind::Less:
-    Op = BinaryOp::Lt;
-    break;
-  case TokenKind::LessEq:
-    Op = BinaryOp::Le;
-    break;
-  case TokenKind::Greater:
-    Op = BinaryOp::Gt;
-    break;
-  case TokenKind::GreaterEq:
-    Op = BinaryOp::Ge;
-    break;
-  default:
-    return Lhs;
-  }
-  SourceLoc Loc = Tok.Loc;
-  consume();
-  ExprPtr Rhs = parseAdditive();
-  if (!Rhs)
-    return nullptr;
-  return std::make_unique<BinaryExpr>(Op, std::move(Lhs), std::move(Rhs), Loc);
-}
-
-ExprPtr Parser::parseAnd() {
-  ExprPtr Lhs = parseComparison();
-  if (!Lhs)
-    return nullptr;
-  while (Tok.is(TokenKind::AmpAmp)) {
-    SourceLoc Loc = Tok.Loc;
-    consume();
-    ExprPtr Rhs = parseComparison();
-    if (!Rhs)
-      return nullptr;
-    Lhs = std::make_unique<BinaryExpr>(BinaryOp::And, std::move(Lhs),
+    Lhs = std::make_unique<BinaryExpr>(Info.Op, std::move(Lhs),
                                        std::move(Rhs), Loc);
+    Ceiling = Info.Chains ? Info.Prec + 1 : Info.Prec;
   }
-  return Lhs;
-}
-
-ExprPtr Parser::parseOr() {
-  ExprPtr Lhs = parseAnd();
-  if (!Lhs)
-    return nullptr;
-  while (Tok.is(TokenKind::PipePipe)) {
-    SourceLoc Loc = Tok.Loc;
-    consume();
-    ExprPtr Rhs = parseAnd();
-    if (!Rhs)
-      return nullptr;
-    Lhs = std::make_unique<BinaryExpr>(BinaryOp::Or, std::move(Lhs),
-                                       std::move(Rhs), Loc);
-  }
-  return Lhs;
 }
 
 ExprPtr Parser::parseExpr() {
   NestingScope Level(Depth);
   if (nestingTooDeep())
     return nullptr;
-  return parseOr();
+  return parseBinary(1);
 }
 
 /// declstmt := type ID ('=' expr)? ';'

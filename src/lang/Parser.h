@@ -75,11 +75,7 @@ private:
   std::unique_ptr<BlockStmt> parseBlock();
   StmtPtr parseDeclStmt();
   ExprPtr parseExpr();
-  ExprPtr parseOr();
-  ExprPtr parseAnd();
-  ExprPtr parseComparison();
-  ExprPtr parseAdditive();
-  ExprPtr parseMultiplicative();
+  ExprPtr parseBinary(unsigned MinPrec);
   ExprPtr parseUnary();
   ExprPtr parsePostfix();
   ExprPtr parsePrimary();

@@ -301,7 +301,7 @@ void EventLoop::applyResponse(Response R) {
   for (Pending &Slot : C.Pendings) {
     if (Slot.Seq != R.Seq)
       continue;
-    Slot.Payload = std::move(R.Payload);
+    Slot.Frame = std::move(R.Frame);
     Slot.Ctx = std::move(R.Ctx);
     Slot.Counted = R.Counted;
     Slot.CloseAfter = R.CloseAfter;
@@ -387,7 +387,7 @@ void EventLoop::readable(Conn &C) {
     Slot.Ready = true;
     Slot.Counted = false;
     Slot.CloseAfter = true;
-    Slot.Payload = errorResponse(FrameErr).str();
+    Slot.Frame = frameJson(errorResponse(FrameErr));
     C.Pendings.push_back(std::move(Slot));
     ::shutdown(C.Fd, SHUT_RD);
     C.ReadClosed = true;
@@ -406,9 +406,11 @@ void EventLoop::flushPendings(Conn &C) {
   while (!C.Pendings.empty() && C.Pendings.front().Ready) {
     Pending Slot = std::move(C.Pendings.front());
     C.Pendings.pop_front();
-    size_t Before = C.OutBuf.size();
-    appendFrame(C.OutBuf, Slot.Payload);
-    C.QueuedBytes += C.OutBuf.size() - Before;
+    C.QueuedBytes += Slot.Frame.size();
+    if (C.OutBuf.empty())
+      C.OutBuf = std::move(Slot.Frame);
+    else
+      C.OutBuf += Slot.Frame;
     InflightWrite W;
     W.EndOffset = C.QueuedBytes;
     W.Counted = Slot.Counted;
@@ -445,8 +447,9 @@ void EventLoop::writeOut(Conn &C) {
     abortConn(C, "write");
     return;
   }
-  // Fully drained: reclaim the buffer and disarm EPOLLOUT.
-  C.OutBuf.clear();
+  // Fully drained: free the buffer (usually a worker's frame, which the
+  // next response replaces anyway) and disarm EPOLLOUT.
+  std::string().swap(C.OutBuf);
   C.OutOff = 0;
   if (C.WantWrite) {
     C.WantWrite = false;
@@ -540,7 +543,7 @@ void EventLoop::sweepReadDeadlines(uint64_t NowNs) {
     Slot.Ready = true;
     Slot.Counted = false;
     Slot.CloseAfter = true;
-    Slot.Payload = errorResponse("read timeout").str();
+    Slot.Frame = frameJson(errorResponse("read timeout"));
     C.Pendings.push_back(std::move(Slot));
     ::shutdown(C.Fd, SHUT_RD);
     C.ReadClosed = true;

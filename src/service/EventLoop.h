@@ -22,8 +22,9 @@
 /// request order per connection — a pipelined client that sends requests
 /// A B C gets answers A B C even when B's analysis finishes first.
 ///
-/// Write path: ready responses are framed into a per-connection output
-/// buffer and written until EAGAIN; a partial write arms EPOLLOUT. The
+/// Write path: ready responses arrive framed (length prefix and JSON in
+/// one string), move into an empty per-connection output buffer or
+/// append to a busy one, and are written until EAGAIN; a partial write arms EPOLLOUT. The
 /// loop tracks cumulative queued/written byte counts so each response's
 /// telemetry context is finalized exactly when its last byte reaches the
 /// kernel — and finalized as *aborted* when the peer vanishes mid-write,
@@ -107,12 +108,12 @@ public:
     std::shared_ptr<FaultInjector> Faults;
   };
 
-  /// A response for one (ConnId, Seq) slot. Payload is the JSON text
-  /// (unframed; the loop prepends the length prefix).
+  /// A response for one (ConnId, Seq) slot. Frame is the wire bytes:
+  /// the length prefix and the JSON text (service::frameJson).
   struct Response {
     uint64_t ConnId = 0;
     uint64_t Seq = 0;
-    std::string Payload;
+    std::string Frame;
     std::unique_ptr<obs::RequestContext> Ctx;
     bool Counted = true;       ///< increments requests-served when flushed
     bool CloseAfter = false;   ///< close the connection once flushed
@@ -152,7 +153,7 @@ private:
     bool Counted = true;
     bool CloseAfter = false;
     bool ShutdownAfter = false;
-    std::string Payload;
+    std::string Frame;
     std::unique_ptr<obs::RequestContext> Ctx;
   };
 

@@ -19,7 +19,7 @@ namespace {
 
 /// Bump when the key derivation changes so stale daemon caches cannot
 /// serve entries computed under an older scheme.
-constexpr uint64_t KeyFormatVersion = 1;
+constexpr uint64_t KeyFormatVersion = 2;
 
 } // namespace
 
@@ -28,23 +28,44 @@ ModuleFingerprint::ModuleFingerprint(const ir::IrModule &M,
                                      const PointsToAnalysis &PT)
     : M(M), CG(CG), PT(PT) {
   FnHash.resize(CG.numFunctions());
+  FrameHash.resize(CG.numFunctions());
+  BodyHash.resize(M.numAtomicSections());
   std::string Text; // one buffer, reused for every function
+  std::vector<ir::SectionSpan> Spans;
   for (unsigned I = 0; I < CG.numFunctions(); ++I) {
     const ir::IrFunction *F = CG.function(I);
-    Fnv1a H;
-    H.str(F->name());
     // Normalized IR, not raw source: whitespace and comment edits keep
-    // the hash; temp numbering is deterministic per function body.
+    // the hashes; temp numbering is deterministic per function body.
     Text.clear();
-    ir::printIrFunction(*F, Text);
-    H.str(Text);
-    FnHash[I] = H.get();
+    Spans.clear();
+    ir::printIrFunction(*F, Text, {}, &Spans);
+    std::string_view View(Text);
+    ContentHasher Frame, Whole;
+    Frame.str(F->name());
+    size_t Pos = 0;
+    uint64_t Body = 0;
+    for (const ir::SectionSpan &S : Spans) {
+      if (S.Begin >= Pos) { // not inside the last top-level section
+        // The frame keeps the `atomic #N {` line and resumes at the `}`.
+        Frame.str(View.substr(Pos, S.Begin - Pos));
+        ContentHasher B;
+        B.str(View.substr(S.Begin, S.End - S.Begin));
+        Body = B.get();
+        Whole.u64(Body);
+        Pos = S.End;
+      }
+      BodyHash[S.SectionId] = Body; // a nested section shares its root's
+    }
+    Frame.str(View.substr(Pos));
+    FrameHash[I] = Frame.get();
+    Whole.u64(FrameHash[I]);
+    FnHash[I] = Whole.get();
   }
   // SCC ids ascend bottom-up, so every callee SCC's hash is final before
   // its callers combine it.
   SccHash.resize(CG.numSccs());
   for (unsigned Scc = 0; Scc < CG.numSccs(); ++Scc) {
-    Fnv1a H;
+    ContentHasher H;
     for (unsigned FnIdx : CG.sccMembers(Scc))
       H.u64(FnHash[FnIdx]);
     for (unsigned Callee : CG.sccCallees(Scc))
@@ -84,7 +105,7 @@ uint64_t ModuleFingerprint::regionSignature(unsigned Scc) {
     return It->second;
 
   const std::vector<unsigned> &Fns = closureFunctions(Scc);
-  Fnv1a H;
+  ContentHasher H;
   std::vector<char> Chased(PT.numRegions(), 0);
   // Emit a region id and everything reachable from it by deref; the
   // deref chain stops at the first region already chased (its own chain
@@ -126,13 +147,21 @@ uint64_t ModuleFingerprint::regionSignature(unsigned Scc) {
 
 uint64_t ModuleFingerprint::sectionKey(const ir::IrFunction *F,
                                        unsigned Ordinal, unsigned K) {
-  unsigned Scc = CG.sccOfFunction(F);
-  Fnv1a H;
+  unsigned FnIdx = CG.indexOf(F);
+  unsigned Scc = CG.sccOf(FnIdx);
+  ContentHasher H;
   H.u64(KeyFormatVersion);
   H.u32(K);
-  H.u64(functionHashOf(F));
+  H.str(F->name());
+  H.u64(FrameHash[FnIdx]);
+  H.u64(BodyHash[F->atomicSections()[Ordinal]->sectionId()]);
   H.u32(Ordinal);
-  H.u64(SccHash[Scc]);
+  // The section reads its callees' summaries; inside a recursive SCC
+  // those depend on F's own body, outside the section too.
+  for (unsigned Callee : CG.sccCallees(Scc))
+    H.u64(SccHash[Callee]);
+  if (CG.isRecursive(Scc))
+    H.u64(SccHash[Scc]);
   H.u64(regionSignature(Scc));
   return H.get();
 }

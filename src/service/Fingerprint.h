@@ -6,16 +6,26 @@
 ///
 /// \file
 /// Builds the content-hash components of a summary-cache key for one
-/// compiled module:
+/// compiled module. Each function is printed once as normalized IR (the
+/// same canonical form the golden tests compare), so formatting-only
+/// source edits hash identically and any semantic edit does not. From
+/// that one text:
 ///
-///  - functionHash: FNV-1a over the function's normalized IR text (the
-///    same canonical form the golden tests compare), so formatting-only
-///    source edits hash identically and any semantic edit does not.
+///  - bodyHash: per top-level atomic section, the hash of its body text.
+///    A nested section shares the hash of the top-level section around
+///    it.
+///  - frameHash: per function, the text outside every top-level section
+///    body (each `atomic #N {` line stays as the section's placeholder).
+///    Names are not identities: a nested scope may shadow a local, so one
+///    body text can bind different variables. The frame pins where each
+///    section sits among the statements around it, and the region
+///    signature below pins every variable's cell, in declaration order,
+///    with the pointers into it (an uninitialized local prints no IR).
+///  - functionHash: the frame and body hashes combined.
 ///  - sccClosureHash: per condensation SCC, the hash of every member's
 ///    functionHash combined with the closure hashes of all callee SCCs —
 ///    i.e. a digest of the normalized bodies of *every function the SCC
-///    can transitively call*. A section's inferred locks depend on
-///    exactly that set of bodies.
+///    can transitively call*.
 ///  - regionSignature: per SCC, a digest of the points-to environment
 ///    the closure observes: the raw region id of every variable cell in
 ///    closure functions and of every global and closure allocation site,
@@ -26,8 +36,13 @@
 ///    Renumbering caused by unrelated edits therefore (conservatively)
 ///    misses instead of serving stale text.
 ///
-/// sectionKey() combines these with the section's lexical ordinal in its
-/// function and the analysis k into the final 64-bit cache key.
+/// A section's inference starts from the empty set at its end and reads
+/// only its body, its callees' summaries and the points-to partition, so
+/// sectionKey() combines k, the function's name and frame, the body hash
+/// of the section's top-level section, its lexical ordinal, the closure
+/// hash of every callee SCC (and of the function's own SCC when that is
+/// recursive) and the region signature. An edit inside one top-level
+/// section moves only the keys of that section and the ones nested in it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,15 +62,13 @@ namespace service {
 
 class ModuleFingerprint {
 public:
-  /// Function hashes and SCC closure hashes are computed eagerly (one
-  /// pass over the module); region signatures lazily per queried SCC.
+  /// Frame, body, function and SCC closure hashes are computed eagerly
+  /// (one print of each function); region signatures lazily per queried
+  /// SCC.
   ModuleFingerprint(const ir::IrModule &M, const analysis::CallGraph &CG,
                     const PointsToAnalysis &PT);
 
   uint64_t functionHash(unsigned FnIdx) const { return FnHash[FnIdx]; }
-  uint64_t functionHashOf(const ir::IrFunction *F) const {
-    return FnHash[CG.indexOf(F)];
-  }
   uint64_t sccClosureHash(unsigned Scc) const { return SccHash[Scc]; }
 
   /// Memoized; see file comment for what the signature covers.
@@ -75,8 +88,10 @@ private:
   const analysis::CallGraph &CG;
   const PointsToAnalysis &PT;
 
-  std::vector<uint64_t> FnHash;  // by CG function index
-  std::vector<uint64_t> SccHash; // by SCC id
+  std::vector<uint64_t> FnHash;    // by CG function index
+  std::vector<uint64_t> FrameHash; // by CG function index
+  std::vector<uint64_t> BodyHash;  // by section id
+  std::vector<uint64_t> SccHash;   // by SCC id
   std::unordered_map<unsigned, std::vector<unsigned>> ClosureMemo;
   std::unordered_map<unsigned, uint64_t> RegionSigMemo;
 };

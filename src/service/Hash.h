@@ -5,10 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// FNV-1a 64-bit hashing used for the incremental summary cache keys.
-/// The hashes are stable across processes and runs (they depend only on
-/// the bytes fed in), which is what makes content-addressed cache keys
-/// meaningful for a long-lived daemon.
+/// The streaming 64-bit hash behind the incremental summary cache keys.
+/// It takes 8 bytes per step (an unaligned load and the MurmurHash64A
+/// word mix) and finishes a call's last 0-7 bytes one at a time. The
+/// hashes are stable across processes and runs on hosts of one byte
+/// order (they depend only on the bytes fed in and the order of the
+/// calls), which is what makes content-addressed cache keys meaningful
+/// for a long-lived daemon.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,23 +20,30 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string_view>
 
 namespace lockin {
 namespace service {
 
-/// Incremental FNV-1a 64-bit hasher.
-class Fnv1a {
+/// Incremental word-at-a-time content hasher.
+class ContentHasher {
 public:
-  static constexpr uint64_t Offset = 1469598103934665603ull;
-  static constexpr uint64_t Prime = 1099511628211ull;
+  static constexpr uint64_t Seed = 0x9e3779b97f4a7c15ull;
+  static constexpr uint64_t M = 0xc6a4a7935bd1e995ull;
+  static constexpr int R = 47;
 
   void bytes(const void *Data, size_t Len) {
     const auto *P = static_cast<const unsigned char *>(Data);
     uint64_t Hash = H;
-    for (size_t I = 0; I < Len; ++I) {
-      Hash ^= P[I];
-      Hash *= Prime;
+    for (; Len >= 8; P += 8, Len -= 8) {
+      uint64_t K;
+      std::memcpy(&K, P, 8);
+      Hash = mixWord(Hash, K);
+    }
+    for (; Len; --Len, ++P) {
+      Hash ^= *P;
+      Hash *= M;
     }
     H = Hash;
   }
@@ -42,20 +52,29 @@ public:
     u64(S.size());
     bytes(S.data(), S.size());
   }
-  void u64(uint64_t V) { bytes(&V, sizeof(V)); }
-  void u32(uint32_t V) { bytes(&V, sizeof(V)); }
+  void u64(uint64_t V) { H = mixWord(H, V); }
+  void u32(uint32_t V) { H = mixWord(H, V); }
 
-  uint64_t get() const { return H; }
+  /// The finalized hash of everything fed so far.
+  uint64_t get() const {
+    uint64_t Hash = H;
+    Hash ^= Hash >> R;
+    Hash *= M;
+    Hash ^= Hash >> R;
+    return Hash;
+  }
 
 private:
-  uint64_t H = Offset;
-};
+  static uint64_t mixWord(uint64_t Hash, uint64_t K) {
+    K *= M;
+    K ^= K >> R;
+    K *= M;
+    Hash ^= K;
+    return Hash * M;
+  }
 
-inline uint64_t hashString(std::string_view S) {
-  Fnv1a H;
-  H.bytes(S.data(), S.size());
-  return H.get();
-}
+  uint64_t H = Seed;
+};
 
 } // namespace service
 } // namespace lockin

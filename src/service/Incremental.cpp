@@ -142,7 +142,8 @@ AnalyzeOutcome IncrementalAnalyzer::analyze(const std::string &Unit,
   AnalyzeOutcome Out;
   Out.Sections = NumSections;
 
-  // Dirty-SCC accounting against the unit's previous snapshot.
+  // Dirty accounting against the unit's previous snapshot: functions by
+  // body hash (and their upward SCC closure), sections by key.
   if (Prev) {
     Out.HadSnapshot = true;
     std::vector<unsigned> Seeds;
@@ -159,8 +160,10 @@ AnalyzeOutcome IncrementalAnalyzer::analyze(const std::string &Unit,
     for (char InCone : Cone)
       if (InCone)
         ++Out.DirtySccs;
+    std::vector<uint64_t> OldKeys = Prev->SectionKeys;
+    std::sort(OldKeys.begin(), OldKeys.end());
     for (uint32_t Id = 0; Id < NumSections; ++Id)
-      if (Cone[CG.sccOfFunction(SectionFunctions[Id])])
+      if (!std::binary_search(OldKeys.begin(), OldKeys.end(), Keys[Id]))
         Out.DirtyConeSections.push_back(Id);
   }
   // Check-report cache: the report depends on every reachable body, the
@@ -169,7 +172,7 @@ AnalyzeOutcome IncrementalAnalyzer::analyze(const std::string &Unit,
   // JSON without re-running inference or the checker.
   uint64_t CheckFp = 0;
   if (Params.Check) {
-    Fnv1a H;
+    ContentHasher H;
     for (unsigned I = 0; I < CG.numFunctions(); ++I)
       H.u64(FP.functionHash(I));
     for (unsigned Scc = 0; Scc < CG.numSccs(); ++Scc)

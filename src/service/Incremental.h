@@ -14,11 +14,12 @@
 /// summary store is shared across the batch.
 ///
 /// Per-unit snapshots (function-name → body hash and the section keys of
-/// the previous analyze of that unit) drive the dirty-SCC accounting: a
-/// changed function seeds its SCC, CallGraph::upwardClosure expands to
-/// every caller SCC, and the sections inside that cone are exactly the
-/// expected re-analysis set — surfaced in the outcome so tests and
-/// clients can verify the invalidation rule.
+/// the previous analyze of that unit) drive the dirty accounting: a
+/// changed function seeds its SCC and CallGraph::upwardClosure expands to
+/// every caller SCC; the sections whose key the snapshot does not hold
+/// are the expected re-analysis set (on a warm cache, exactly the
+/// misses) — surfaced in the outcome so tests and clients can verify the
+/// invalidation rule.
 ///
 /// Identical resubmits skip the pipeline. A snapshot also keeps the exact
 /// source bytes, k and report of the analyze that published it. Section
@@ -108,8 +109,9 @@ struct AnalyzeOutcome {
   bool HadSnapshot = false;
   unsigned DirtyFunctions = 0;
   unsigned DirtySccs = 0;
-  /// Sections whose SCC lies in the dirty cone — the predicted
-  /// re-analysis set under the invalidation rule.
+  /// Sections whose key the previous snapshot does not hold — the
+  /// predicted re-analysis set: an edit inside a section, an edit to its
+  /// function outside every section, or an edit in its callee closure.
   std::vector<uint32_t> DirtyConeSections;
 
   /// Checker results when AnalyzeParams::Check was set.

@@ -158,16 +158,21 @@ int lockin::service::readJson(int Fd, Json &Out, std::string &Err) {
   return 1;
 }
 
-bool lockin::service::writeJson(int Fd, const Json &Message,
-                                std::string &Err) {
+std::string lockin::service::frameJson(const Json &Message) {
   // Serialize straight after a header placeholder: no payload copy.
   std::string Buf(4, '\0');
   Message.write(Buf);
+  putLength(Buf.data(), Buf.size() - 4);
+  return Buf;
+}
+
+bool lockin::service::writeJson(int Fd, const Json &Message,
+                                std::string &Err) {
+  std::string Buf = frameJson(Message);
   if (Buf.size() - 4 > MaxFrameBytes) {
     Err = "frame too large";
     return false;
   }
-  putLength(Buf.data(), Buf.size() - 4);
   return writeExact(Fd, Buf.data(), Buf.size(), Err);
 }
 

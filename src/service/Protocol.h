@@ -106,7 +106,11 @@ bool writeFrame(int Fd, std::string_view Payload, std::string &Err);
 /// readFrame + JSON parse. Same return convention as readFrame.
 int readJson(int Fd, Json &Out, std::string &Err);
 
-/// Serialize + writeFrame.
+/// Serializes \p Message straight into one frame: the 4-byte length
+/// prefix and the JSON text, with no copy of the payload.
+std::string frameJson(const Json &Message);
+
+/// frameJson + write.
 bool writeJson(int Fd, const Json &Message, std::string &Err);
 
 /// Canonical error response body.

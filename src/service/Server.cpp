@@ -309,7 +309,7 @@ void Server::onFrame(EventLoop &Loop, uint64_t ConnId, uint64_t Seq,
     EventLoop::Response R;
     R.ConnId = ConnId;
     R.Seq = Seq;
-    R.Payload = errorResponse(Err).str();
+    R.Frame = frameJson(errorResponse(Err));
     R.Counted = false;
     R.CloseAfter = true;
     Loop.sendResponse(std::move(R));
@@ -326,7 +326,7 @@ void Server::onFrame(EventLoop &Loop, uint64_t ConnId, uint64_t Seq,
   EventLoop::Response R;
   R.ConnId = ConnId;
   R.Seq = Seq;
-  R.Payload = Resp.str();
+  R.Frame = frameJson(Resp);
   R.CloseAfter = IsShutdown;
   R.ShutdownAfter = IsShutdown;
   Loop.sendResponse(std::move(R));
@@ -385,7 +385,7 @@ void Server::reply(const ReplyTo &To, const Json &Response,
   EventLoop::Response R;
   R.ConnId = To.ConnId;
   R.Seq = To.Seq;
-  R.Payload = Response.str();
+  R.Frame = frameJson(Response);
   R.Ctx = std::move(Ctx);
   To.Loop->sendResponse(std::move(R));
 }

@@ -103,6 +103,58 @@ TEST(Parser, PrecedenceAndOverOr) {
   EXPECT_EQ(cast<BinaryExpr>(Or->rhs())->op(), BinaryOp::And);
 }
 
+/// The AST of the expression returned by `int f(...) { return E; }`.
+std::string returnedExpr(const std::string &E) {
+  std::unique_ptr<Program> Prog = parseOk(
+      "int f(int a, int b, int c, int d, int e) { return " + E + "; }");
+  if (!Prog)
+    return "";
+  const auto *Ret =
+      cast<ReturnStmt>(Prog->findFunction("f")->body()->stmts()[0].get());
+  return printExpr(Ret->value());
+}
+
+/// The first diagnostic \p Source produces.
+std::string firstError(const std::string &Source) {
+  DiagnosticEngine Diags;
+  Parser P(Source, Diags);
+  std::unique_ptr<Program> Prog = P.parseProgram();
+  EXPECT_TRUE(!Prog || Diags.hasErrors()) << Source;
+  return Diags.str().substr(0, Diags.str().find('\n'));
+}
+
+TEST(Parser, MixedPrecedenceTreesAreExact) {
+  EXPECT_EQ(returnedExpr("a || b && c == d + e * a"),
+            "(a || (b && (c == (d + (e * a)))))");
+  EXPECT_EQ(returnedExpr("a * b + c < d - e && a || b"),
+            "(((((a * b) + c) < (d - e)) && a) || b)");
+  EXPECT_EQ(returnedExpr("a % b / c * d"), "(((a % b) / c) * d)");
+  EXPECT_EQ(returnedExpr("a && b || c && d || e"),
+            "(((a && b) || (c && d)) || e)");
+  EXPECT_EQ(returnedExpr("-a * !b + (c - d) * e"),
+            "((-(a) * !(b)) + ((c - d) * e))");
+  EXPECT_EQ(returnedExpr("a != b + c"), "(a != (b + c))");
+  EXPECT_EQ(returnedExpr("a >= b && c <= d"), "((a >= b) && (c <= d))");
+}
+
+TEST(Parser, BinaryOperatorsAssociateLeft) {
+  EXPECT_EQ(returnedExpr("a - b - c"), "((a - b) - c)");
+  EXPECT_EQ(returnedExpr("a / b / c"), "((a / b) / c)");
+  EXPECT_EQ(returnedExpr("a || b || c"), "((a || b) || c)");
+  EXPECT_EQ(returnedExpr("a - b + c - d"), "(((a - b) + c) - d)");
+}
+
+TEST(Parser, ComparisonsDoNotChain) {
+  EXPECT_EQ(firstError("int f(int a, int b, int c) { return a < b < c; }"),
+            "1:43: error: expected ';' but found '<'");
+  // A comparison inside a tighter or looser operand still may not chain.
+  EXPECT_EQ(firstError("int f(int a, int b, int c) { return a && b < c < a; }"),
+            "1:48: error: expected ';' but found '<'");
+  EXPECT_EQ(firstError("int f(int a, int b, int c) { return a + b == c != a; }"),
+            "1:48: error: expected ';' but found '!='");
+  EXPECT_EQ(returnedExpr("(a < b) < c"), "((a < b) < c)");
+}
+
 TEST(Parser, PostfixChain) {
   std::unique_ptr<Program> Prog = parseOk(
       "struct s { s* n; int* a; };\n"

@@ -41,8 +41,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <algorithm>
+#include <cctype>
 #include <csignal>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -387,6 +390,26 @@ TEST(SummaryCache, IdenticalTextsSharePooledStorage) {
   EXPECT_EQ(A.LocksText.get(), B.LocksText.get());
   EXPECT_NE(A.LocksText.get(), C.LocksText.get());
   EXPECT_EQ(Cache.stats().TextPoolHits, 1u);
+}
+
+TEST(SummaryCache, TextPoolStaysBoundedUnderDistinctTexts) {
+  SummaryCache Cache(64);
+  for (uint64_t I = 0; I < 100000; ++I)
+    Cache.insert(I, summary("text " + std::to_string(I)));
+  SummaryCache::Stats S = Cache.stats();
+  EXPECT_EQ(S.Entries, 64u);
+  EXPECT_EQ(S.Evictions, 100000u - 64u);
+  EXPECT_LE(S.PooledTexts, 64u);
+
+  // Replacing an entry's text and erasing entries prune the pool too.
+  Cache.insert(99999, summary("replacement"));
+  for (uint64_t I = 100000 - 64; I < 100000 - 32; ++I)
+    Cache.erase(I);
+  S = Cache.stats();
+  EXPECT_EQ(S.Entries, 32u);
+  EXPECT_EQ(S.PooledTexts, 32u);
+  Cache.clear();
+  EXPECT_EQ(Cache.stats().PooledTexts, 0u);
 }
 
 TEST(SummaryCache, CapacityZeroDisables) {
@@ -788,21 +811,21 @@ TEST(Incremental, SectionKeysArePinned) {
   const Case Cases[] = {
       {"mutual3",
        readFile(goldenDir() + "mutual3.atom"),
-       {0x3abab2db8818961eull, 0xc8817559b0b0fccbull}},
+       {0x225bfac659cd6352ull, 0x487ff2e29b05f9b0ull}},
       {"ptrchain",
        readFile(goldenDir() + "ptrchain.atom"),
-       {0x586c4403929d5c93ull}},
+       {0x2f240784b56526b8ull}},
       {"selfrec",
        readFile(goldenDir() + "selfrec.atom"),
-       {0xddf3f83d8d4634c9ull, 0x0ed9e9d2ecd35a10ull}},
+       {0xffb9d2f166880984ull, 0xcd9c2f7457295954ull}},
       {"bench unit",
        benchServiceUnit(),
-       {0x7bcfccabfd26d1c9ull, 0x328d0b7c9484a528ull, 0x7202276667272487ull,
-        0x014226bc6980fd9eull, 0x158e4d03872f9f54ull, 0xd837412bb19d1a49ull,
-        0xdca88c314ff70732ull, 0x9c06f8248e13122full, 0xa589060053639462ull,
-        0x36baf7374092cd97ull, 0x77af5b8b32bfc090ull, 0xc41b710d84d26a4dull,
-        0xee40800cbde7f116ull, 0x161f2f50afbe9307ull, 0x2d05f4423ab4b7f4ull,
-        0x2b6f3897b3117f3dull}},
+       {0xe9539536cf9f79daull, 0x4f38077e14491b9aull, 0xd3ba52f4ef657425ull,
+        0x4da8fa8558574750ull, 0xb671a68030e88287ull, 0x15b39025be110d14ull,
+        0xdab5afc5765a86fdull, 0x8ff5319b7deb1645ull, 0x01ae2b8681bf06f0ull,
+        0xf14db38af5511cd4ull, 0xf9bfbfd8521e7e54ull, 0x444156250d671e18ull,
+        0x8c78527af0a34216ull, 0x959c4cbb8a2e2552ull, 0x3bce411ce49bfedeull,
+        0x36371116577bb275ull}},
   };
   for (const Case &C : Cases)
     EXPECT_EQ(sectionKeys(C.Source, 3), C.Keys) << C.Name;
@@ -918,6 +941,245 @@ TEST(Incremental, InvalidationDropsTheStoredSourceAndReport) {
   EXPECT_EQ(Out.CacheMisses, 2u);
   EXPECT_EQ(Out.Report, oneShotReport(Source));
   EXPECT_EQ(An.resubmitsServed(), 0u);
+}
+
+/// One worker function with three sections, a second with one, and a
+/// constant outside every section: w's sections are #0-#2, v's is #3.
+std::string sectionsProgram(int A, int B, int C, int Outside) {
+  return "struct node { node* next; int val; };\n"
+         "node* ha;\nnode* hb;\n"
+         "int helper(node* p) { return p->val + 1; }\n"
+         "void w() {\n  int x = " + std::to_string(Outside) + ";\n"
+         "  atomic { ha->val = " + std::to_string(A) + " + x; }\n"
+         "  atomic { hb->val = helper(hb) + " + std::to_string(B) + "; }\n"
+         "  atomic { ha->next = hb; hb->val = " + std::to_string(C) + "; }\n"
+         "}\n"
+         "void v() {\n  atomic { hb->val = 44; }\n}\n"
+         "int main() {\n  ha = new node;\n  hb = new node;\n"
+         "  spawn w();\n  spawn v();\n  return 0;\n}\n";
+}
+
+/// Analyzes \p Before then \p After as one unit and checks that the
+/// second answer equals a cold compile and that the cache missed exactly
+/// the sections the snapshot's keys predicted; returns the misses.
+std::vector<uint32_t> editMisses(const std::string &Before,
+                                 const std::string &After) {
+  SummaryCache Cache(1024);
+  IncrementalAnalyzer An(Cache);
+  AnalyzeParams P;
+  P.Jobs = 1;
+  AnalyzeOutcome First = An.analyze("u", Before, P);
+  EXPECT_TRUE(First.Ok) << First.Error;
+  AnalyzeOutcome Second = An.analyze("u", After, P);
+  EXPECT_TRUE(Second.Ok) << Second.Error;
+  EXPECT_EQ(Second.Report, oneShotReport(After));
+  EXPECT_EQ(Second.DirtyConeSections, Second.Reanalyzed);
+  return Second.Reanalyzed;
+}
+
+TEST(Incremental, OneSectionEditMissesExactlyThatSection) {
+  EXPECT_EQ(editMisses(sectionsProgram(11, 22, 33, 1),
+                       sectionsProgram(11, 23, 33, 1)),
+            std::vector<uint32_t>{1});
+  EXPECT_EQ(editMisses(sectionsProgram(11, 22, 33, 1),
+                       sectionsProgram(11, 22, 34, 1)),
+            std::vector<uint32_t>{2});
+}
+
+TEST(Incremental, EditOutsideEverySectionMissesAllOfItsFunctionsSections) {
+  EXPECT_EQ(editMisses(sectionsProgram(11, 22, 33, 1),
+                       sectionsProgram(11, 22, 33, 2)),
+            (std::vector<uint32_t>{0, 1, 2}));
+}
+
+TEST(Incremental, EditInARecursiveSccMissesTheWholeScc) {
+  auto Program = [](int Value) {
+    return "struct node { node* next; int val; };\nnode* h;\n"
+           "int f(node* p, int n) {\n  if (n <= 0) { return 0; }\n"
+           "  atomic { p->val = " + std::to_string(Value) + "; }\n"
+           "  return g(p->next, n - 1);\n}\n"
+           "int g(node* p, int n) {\n  if (n <= 0) { return 0; }\n"
+           "  atomic { p->val = 2; }\n  return f(p, n - 1);\n}\n"
+           "void top() {\n  atomic { h->val = f(h, 3); }\n}\n"
+           "void other() {\n  atomic { h->next = null; }\n}\n"
+           "int main() {\n  h = new node;\n  spawn top();\n"
+           "  spawn other();\n  return 0;\n}\n";
+  };
+  // f and g form one SCC: both their sections miss, and so does top's,
+  // which calls into it; other's does not.
+  EXPECT_EQ(editMisses(Program(1), Program(5)),
+            (std::vector<uint32_t>{0, 1, 2}));
+}
+
+TEST(Incremental, NestedSectionsMissWithTheirTopLevelSection) {
+  auto Program = [](int Outer, int Inner, int Other) {
+    return "struct node { node* next; int val; };\nnode* ha;\nnode* hb;\n"
+           "void w() {\n  atomic {\n    ha->val = " + std::to_string(Outer) +
+           ";\n    atomic { hb->val = " + std::to_string(Inner) +
+           "; }\n  }\n  atomic { hb->next = ha; ha->val = " +
+           std::to_string(Other) + "; }\n}\n"
+           "int main() {\n  ha = new node;\n  hb = new node;\n"
+           "  spawn w();\n  return 0;\n}\n";
+  };
+  EXPECT_EQ(editMisses(Program(1, 2, 3), Program(1, 9, 3)),
+            (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(editMisses(Program(1, 2, 3), Program(9, 2, 3)),
+            (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(editMisses(Program(1, 2, 3), Program(1, 2, 9)),
+            std::vector<uint32_t>{2});
+}
+
+TEST(Incremental, ShadowedNamesDoNotShareKeys) {
+  // The section's text is the same in every variant; which `p` it binds
+  // is not. Each incremental answer must equal its cold compile, also
+  // when the other variant's entries are resident.
+  const std::string Head = "struct node { node* next; int val; };\n"
+                           "node* g1;\nnode* g2;\n"
+                           "void w(int c) {\n  node* p = g1;\n";
+  const std::string Tail = "}\nint main() {\n  g1 = new node;\n"
+                           "  g2 = new node;\n  spawn w(1);\n"
+                           "  return 0;\n}\n";
+  const std::string Section = "atomic { p->val = 7; }";
+  const std::string Pairs[][2] = {
+      // The section moved into the scope of the shadowing declaration.
+      {Head + "  if (c == 1) {\n    node* p = g2;\n    p->val = 5;\n  }\n  " +
+           Section + "\n" + Tail,
+       Head + "  if (c == 1) {\n    node* p = g2;\n    p->val = 5;\n    " +
+           Section + "\n  }\n" + Tail},
+      // An uninitialized shadow prints no IR: only where it is declared
+      // differs.
+      {Head + "  if (c == 1) {\n    node* p;\n    " + Section + "\n  }\n" +
+           Tail,
+       Head + "  if (c == 1) {\n    " + Section + "\n    node* p;\n  }\n" +
+           Tail},
+      // The same text writes the address-taken outer x (which needs a
+      // lock) or the private inner one (which does not).
+      {Head + "  int x = 0;\n  int* q = &x;\n  int y = 1;\n"
+              "  if (c == 1) {\n    int x = 2;\n    atomic { x = y; }\n  }\n"
+              "  *q = 3;\n" + Tail,
+       Head + "  int x = 0;\n  int* q = &x;\n  int y = 1;\n"
+              "  if (c == 1) {\n    atomic { x = y; }\n    int x = 2;\n  }\n"
+              "  *q = 3;\n" + Tail},
+      // Both at once: the whole printed IR is the same, so only the
+      // region signature (every variable's cell, in declaration order)
+      // tells the two apart.
+      {Head + "  int x = 0;\n  int* q = &x;\n  int y = 1;\n"
+              "  if (c == 1) {\n    int x;\n    atomic { x = y; }\n  }\n"
+              "  *q = 3;\n" + Tail,
+       Head + "  int x = 0;\n  int* q = &x;\n  int y = 1;\n"
+              "  if (c == 1) {\n    atomic { x = y; }\n    int x;\n  }\n"
+              "  *q = 3;\n" + Tail},
+  };
+  for (const auto &Pair : Pairs) {
+    editMisses(Pair[0], Pair[1]);
+    editMisses(Pair[1], Pair[0]);
+    SummaryCache Cache(1024);
+    IncrementalAnalyzer An(Cache);
+    AnalyzeParams P;
+    P.Jobs = 1;
+    for (const std::string &Source : {Pair[0], Pair[1], Pair[0], Pair[1]}) {
+      AnalyzeOutcome Out = An.analyze("u", Source, P);
+      ASSERT_TRUE(Out.Ok) << Out.Error;
+      EXPECT_EQ(Out.Report, oneShotReport(Source));
+    }
+  }
+}
+
+/// The byte offset of the first integer literal inside each `atomic`
+/// block of \p Source, in source order (npos for a block without one).
+/// Comments are skipped; the programs scanned are the repository's own.
+std::vector<size_t> firstLiteralPerSection(const std::string &Source) {
+  std::vector<size_t> Out;
+  std::vector<std::pair<size_t, int>> Open; // (index in Out, brace depth)
+  int Depth = 0;
+  bool AwaitBrace = false;
+  for (size_t I = 0; I < Source.size(); ++I) {
+    char C = Source[I];
+    if (C == '/' && I + 1 < Source.size() && Source[I + 1] == '/') {
+      I = Source.find('\n', I);
+      if (I == std::string::npos)
+        break;
+      continue;
+    }
+    if (C == '/' && I + 1 < Source.size() && Source[I + 1] == '*') {
+      I = Source.find("*/", I + 2) + 1;
+      continue;
+    }
+    if (std::isalpha(static_cast<unsigned char>(C)) || C == '_') {
+      size_t J = I;
+      while (J < Source.size() &&
+             (std::isalnum(static_cast<unsigned char>(Source[J])) ||
+              Source[J] == '_'))
+        ++J;
+      if (Source.compare(I, J - I, "atomic") == 0)
+        AwaitBrace = true;
+      I = J - 1;
+      continue;
+    }
+    if (std::isdigit(static_cast<unsigned char>(C))) {
+      for (auto &[Idx, D] : Open)
+        if (Out[Idx] == std::string::npos)
+          Out[Idx] = I;
+      while (I + 1 < Source.size() &&
+             std::isdigit(static_cast<unsigned char>(Source[I + 1])))
+        ++I;
+      continue;
+    }
+    if (C == '{') {
+      ++Depth;
+      if (AwaitBrace) {
+        Open.emplace_back(Out.size(), Depth);
+        Out.push_back(std::string::npos);
+        AwaitBrace = false;
+      }
+    } else if (C == '}') {
+      if (!Open.empty() && Open.back().second == Depth)
+        Open.pop_back();
+      --Depth;
+    }
+  }
+  return Out;
+}
+
+TEST(Incremental, EveryOneConstantSectionEditEqualsTheColdCompile) {
+  std::vector<std::string> Paths;
+  for (const char *Dir : {"/golden", "/fuzz-corpus"})
+    for (const auto &E : std::filesystem::directory_iterator(
+             std::string(LOCKIN_TEST_DIR) + Dir))
+      if (E.path().extension() == ".atom")
+        Paths.push_back(E.path().string());
+  std::sort(Paths.begin(), Paths.end());
+  ASSERT_GE(Paths.size(), 14u);
+
+  unsigned Edits = 0;
+  for (const std::string &Path : Paths) {
+    const std::string Source = readFile(Path);
+    SummaryCache Cache(4096);
+    IncrementalAnalyzer An(Cache);
+    AnalyzeParams P;
+    P.Jobs = 1;
+    for (size_t At : firstLiteralPerSection(Source)) {
+      if (At == std::string::npos)
+        continue;
+      ASSERT_TRUE(An.analyze(Path, Source, P).Ok) << Path;
+      size_t End = At;
+      while (End < Source.size() &&
+             std::isdigit(static_cast<unsigned char>(Source[End])))
+        ++End;
+      std::string Edited = Source;
+      Edited.replace(At, End - At,
+                     std::to_string(std::stoll(Source.substr(At, End - At)) +
+                                    1000));
+      AnalyzeOutcome Out = An.analyze(Path, Edited, P);
+      ASSERT_TRUE(Out.Ok) << Path << " @" << At << ": " << Out.Error;
+      EXPECT_EQ(Out.Report, oneShotReport(Edited)) << Path << " @" << At;
+      EXPECT_EQ(Out.Reanalyzed, Out.DirtyConeSections) << Path << " @" << At;
+      EXPECT_FALSE(Out.Reanalyzed.empty()) << Path << " @" << At;
+      EXPECT_LT(Out.Reanalyzed.size(), Out.Sections + 1u);
+      ++Edits;
+    }
+  }
+  EXPECT_GE(Edits, 10u);
 }
 
 //===----------------------------------------------------------------------===//
