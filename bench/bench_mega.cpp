@@ -36,12 +36,12 @@
 #include "lang/Sema.h"
 #include "pointsto/Steensgaard.h"
 #include "support/Diagnostics.h"
+#include "support/Json.h"
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -193,22 +193,19 @@ bool runConfig(const std::string &Config, unsigned Lines, ChildResult &Out) {
   return Out.Ok && Status == 0;
 }
 
-void emitConfig(std::ostream &O, const char *Name, const ChildResult &R,
-                const ChildResult &Baseline) {
-  double OverKb = R.PeakRssKb > Baseline.PeakRssKb
-                      ? static_cast<double>(R.PeakRssKb - Baseline.PeakRssKb)
-                      : 0;
-  O << "    \"" << Name << "\": {\n";
-  O << "      \"sections\": " << R.Sections << ",\n";
-  O << "      \"analyze_seconds\": " << R.AnalyzeSeconds << ",\n";
-  O << "      \"total_seconds\": " << R.TotalSeconds << ",\n";
-  O << "      \"peak_rss_kb\": " << R.PeakRssKb << ",\n";
-  O << "      \"analysis_rss_kb\": " << OverKb << ",\n";
-  O << "      \"interner_nodes\": " << R.InternerNodes << ",\n";
-  O << "      \"interner_hits\": " << R.InternerHits << ",\n";
-  O << "      \"summaries_deduped\": " << R.Deduped << ",\n";
-  O << "      \"arena_bytes\": " << R.ArenaBytes << "\n";
-  O << "    }";
+support::Json configJson(const ChildResult &R, const ChildResult &Baseline) {
+  using support::Json;
+  uint64_t OverKb =
+      R.PeakRssKb > Baseline.PeakRssKb ? R.PeakRssKb - Baseline.PeakRssKb : 0;
+  return Json::object({{"sections", Json::uinteger(R.Sections)},
+                       {"analyze_seconds", Json::number(R.AnalyzeSeconds)},
+                       {"total_seconds", Json::number(R.TotalSeconds)},
+                       {"peak_rss_kb", Json::uinteger(R.PeakRssKb)},
+                       {"analysis_rss_kb", Json::uinteger(OverKb)},
+                       {"interner_nodes", Json::uinteger(R.InternerNodes)},
+                       {"interner_hits", Json::uinteger(R.InternerHits)},
+                       {"summaries_deduped", Json::uinteger(R.Deduped)},
+                       {"arena_bytes", Json::uinteger(R.ArenaBytes)}});
 }
 
 } // namespace
@@ -237,10 +234,7 @@ int main(int Argc, char **Argv) {
 
   std::vector<unsigned> Sizes = Quick ? std::vector<unsigned>{100000}
                                       : std::vector<unsigned>{100000, 1000000};
-  std::ostringstream O;
-  O << "{\n  \"bench\": \"mega\",\n  \"quick\": " << (Quick ? "true" : "false")
-    << ",\n  \"sizes\": [\n";
-  bool FirstSize = true;
+  support::Json SizeRows = support::Json::array();
   bool AllOk = true;
   for (unsigned Lines : Sizes) {
     std::printf("bench_mega: %u lines...\n", Lines);
@@ -264,21 +258,21 @@ int main(int Argc, char **Argv) {
                 static_cast<unsigned long long>(Interned.Deduped),
                 static_cast<unsigned long long>(Interned.ArenaBytes));
 
-    if (!FirstSize)
-      O << ",\n";
-    FirstSize = false;
-    O << "    {\n      \"lines\": " << Baseline.Lines << ",\n";
-    emitConfig(O, "baseline", Baseline, Baseline);
-    O << ",\n";
-    emitConfig(O, "interned", Interned, Baseline);
-    O << ",\n      \"interner_hit_rate\": " << HitRate << "\n    }";
+    SizeRows.push(support::Json::object(
+        {{"lines", support::Json::uinteger(Baseline.Lines)},
+         {"baseline", configJson(Baseline, Baseline)},
+         {"interned", configJson(Interned, Baseline)},
+         {"interner_hit_rate", support::Json::number(HitRate)}}));
   }
-  O << "\n  ]\n}\n";
 
   if (!AllOk)
     return 1;
-  std::ofstream Out(OutPath);
-  Out << O.str();
+  support::Json Doc =
+      support::Json::object({{"bench", support::Json::string("mega")},
+                             {"quick", support::Json::boolean(Quick)}});
+  Doc.set("sizes", std::move(SizeRows));
+  if (!support::writeJsonFile(OutPath, Doc))
+    return 1;
   std::printf("bench_mega: wrote %s\n", OutPath.c_str());
   return 0;
 }

@@ -45,6 +45,7 @@
 #include "runtime/Adaptive.h"
 #include "runtime/LockRuntime.h"
 #include "stm/Tl2.h"
+#include "support/Json.h"
 #include "support/Rng.h"
 
 #include <algorithm>
@@ -387,59 +388,49 @@ ObsOverhead measureObsOverhead(const char *Name, unsigned NumThreads, Mix M,
 bool emitJson(const std::vector<Result> &Results,
               const std::vector<ObsOverhead> &Overheads,
               const std::string &Path) {
-  FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F) {
-    std::perror("bench_runtime: open output");
-    return false;
-  }
-  std::fprintf(F,
-               "{\n  \"bench\": \"runtime\",\n  \"schema\": 3,\n"
-               "  \"hw_concurrency\": %u,\n"
-               "  \"note\": \"RelWithDebInfo; rows with oversubscribed=true "
-               "ran more threads than hardware threads; adaptive rows warm "
-               "up untimed until the policy converges and report the final "
-               "backend; elided=true rows run the section body with the "
-               "lock protocol removed (MHP never-parallel elision); "
-               "obs_overhead = lock profiler armed vs dormant, "
-               "median of order-alternated paired reps\",\n"
-               "  \"results\": [\n",
-               hardwareThreads());
-  for (size_t I = 0; I < Results.size(); ++I) {
-    const Result &R = Results[I];
-    std::fprintf(F,
-                 "    {\"scenario\": \"%s\", \"threads\": %u, "
-                 "\"adaptive\": %s, \"elided\": %s, \"oversubscribed\": %s, "
-                 "\"ops\": %llu, "
-                 "\"throughput_ops_per_sec\": %.0f, \"p50_ns\": %llu, "
-                 "\"p99_ns\": %llu",
-                 R.Scenario.c_str(), R.Threads, R.Adaptive ? "true" : "false",
-                 R.Elided ? "true" : "false",
-                 R.Oversubscribed ? "true" : "false",
-                 static_cast<unsigned long long>(R.Ops), R.ThroughputOpsPerSec,
-                 static_cast<unsigned long long>(R.P50Ns),
-                 static_cast<unsigned long long>(R.P99Ns));
-    if (R.FinalBackend >= 0)
-      std::fprintf(F, ", \"final_backend\": \"%s\", \"striped_regions\": %u",
-                   R.FinalBackend == 1 ? "stm" : "lock", R.StripedRegions);
-    std::fprintf(F, "}%s\n", I + 1 < Results.size() ? "," : "");
-  }
-  std::fprintf(F, "  ]%s\n", Overheads.empty() ? "" : ",");
-  if (!Overheads.empty()) {
-    std::fprintf(F, "  \"obs_enabled\": %s,\n  \"obs_overhead\": [\n",
-                 obs::kEnabled ? "true" : "false");
-    for (size_t I = 0; I < Overheads.size(); ++I) {
-      const ObsOverhead &O = Overheads[I];
-      std::fprintf(F,
-                   "    {\"scenario\": \"%s\", \"ns_per_op_off\": %.1f, "
-                   "\"ns_per_op_on\": %.1f, \"overhead_pct\": %.2f}%s\n",
-                   O.Scenario.c_str(), O.NsPerOpOff, O.NsPerOpOn,
-                   O.OverheadPct, I + 1 < Overheads.size() ? "," : "");
+  using support::Json;
+  Json Rows = Json::array();
+  for (const Result &R : Results) {
+    Json &Row = Rows.push(Json::object(
+        {{"scenario", Json::string(R.Scenario)},
+         {"threads", Json::integer(R.Threads)},
+         {"adaptive", Json::boolean(R.Adaptive)},
+         {"elided", Json::boolean(R.Elided)},
+         {"oversubscribed", Json::boolean(R.Oversubscribed)},
+         {"ops", Json::uinteger(R.Ops)},
+         {"throughput_ops_per_sec", Json::number(R.ThroughputOpsPerSec)},
+         {"p50_ns", Json::uinteger(R.P50Ns)},
+         {"p99_ns", Json::uinteger(R.P99Ns)}}));
+    if (R.FinalBackend >= 0) {
+      Row.set("final_backend",
+              Json::string(R.FinalBackend == 1 ? "stm" : "lock"));
+      Row.set("striped_regions", Json::integer(R.StripedRegions));
     }
-    std::fprintf(F, "  ]\n");
   }
-  std::fprintf(F, "}\n");
-  std::fclose(F);
-  return true;
+  Json Doc = Json::object(
+      {{"bench", Json::string("runtime")},
+       {"schema", Json::integer(3)},
+       {"hw_concurrency", Json::integer(hardwareThreads())},
+       {"note",
+        Json::string("RelWithDebInfo; rows with oversubscribed=true ran "
+                     "more threads than hardware threads; adaptive rows "
+                     "warm up untimed until the policy converges and "
+                     "report the final backend; elided=true rows run the "
+                     "section body with the lock protocol removed (MHP "
+                     "never-parallel elision); obs_overhead = lock "
+                     "profiler armed vs dormant, median of "
+                     "order-alternated paired reps")}});
+  Doc.set("results", std::move(Rows));
+  if (!Overheads.empty()) {
+    Doc.set("obs_enabled", Json::boolean(obs::kEnabled));
+    Json &List = Doc.set("obs_overhead", Json::array());
+    for (const ObsOverhead &O : Overheads)
+      List.push(Json::object({{"scenario", Json::string(O.Scenario)},
+                              {"ns_per_op_off", Json::number(O.NsPerOpOff)},
+                              {"ns_per_op_on", Json::number(O.NsPerOpOn)},
+                              {"overhead_pct", Json::number(O.OverheadPct)}}));
+  }
+  return support::writeJsonFile(Path, Doc);
 }
 
 } // namespace

@@ -64,7 +64,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -187,11 +186,10 @@ PhaseStats runPhase(const std::string &SocketPath, const std::string &Source,
         return;
       }
       for (unsigned I = 0; I < PerClient; ++I) {
-        Json Request = Json::object();
-        Request.set("op", Json::string("analyze"));
-        Request.set("unit", Json::string("bench.atom"));
-        Request.set("source", Json::string(Source));
-        Request.set("jobs", Json::integer(1));
+        Json Request = Json::object({{"op", Json::string("analyze")},
+                                     {"unit", Json::string("bench.atom")},
+                                     {"source", Json::string(Source)},
+                                     {"jobs", Json::integer(1)}});
         if (Force)
           Request.set("force", Json::boolean(true));
         Json Response;
@@ -220,15 +218,14 @@ PhaseStats runPhase(const std::string &SocketPath, const std::string &Source,
 }
 
 Json phaseJson(const PhaseStats &Stats) {
-  Json O = Json::object();
-  O.set("requests", Json::integer(Stats.LatenciesMs.size()));
-  O.set("errors", Json::integer(Stats.Errors));
-  O.set("p50_ms", Json::number(Stats.quantile(0.5)));
-  O.set("p95_ms", Json::number(Stats.quantile(0.95)));
-  O.set("p99_ms", Json::number(Stats.quantile(0.99)));
-  O.set("mean_ms", Json::number(Stats.mean()));
-  O.set("throughput_rps", Json::number(Stats.throughput()));
-  return O;
+  return Json::object(
+      {{"requests", Json::uinteger(Stats.LatenciesMs.size())},
+       {"errors", Json::integer(Stats.Errors)},
+       {"p50_ms", Json::number(Stats.quantile(0.5))},
+       {"p95_ms", Json::number(Stats.quantile(0.95))},
+       {"p99_ms", Json::number(Stats.quantile(0.99))},
+       {"mean_ms", Json::number(Stats.mean())},
+       {"throughput_rps", Json::number(Stats.throughput())}});
 }
 
 /// Scrapes the daemon's `metrics` op and lifts the request-phase
@@ -239,10 +236,9 @@ Json scrapePhaseBreakdown(const std::string &SocketPath) {
   Client Conn;
   std::string Err;
   Json Response;
-  Json Request = Json::object();
-  Request.set("op", Json::string("metrics"));
   if (!Conn.connectUnix(SocketPath, Err) ||
-      !Conn.call(Request, Response, Err) ||
+      !Conn.call(Json::object({{"op", Json::string("metrics")}}), Response,
+                 Err) ||
       !Response.getBool("ok", false)) {
     std::fprintf(stderr, "bench_service: metrics scrape: %s\n", Err.c_str());
     return Out;
@@ -262,13 +258,12 @@ Json scrapePhaseBreakdown(const std::string &SocketPath) {
     const Json *H = Hists->get(Metric);
     if (!H)
       continue;
-    Json P = Json::object();
-    P.set("count",
-          Json::integer(static_cast<int64_t>(H->getUint("count", 0))));
-    P.set("p50_ms", Json::number(H->getUint("p50", 0) / 1e6));
-    P.set("p95_ms", Json::number(H->getUint("p95", 0) / 1e6));
-    P.set("p99_ms", Json::number(H->getUint("p99", 0) / 1e6));
-    Out.set(Label, std::move(P));
+    Out.set(Label,
+            Json::object({{"count", Json::uinteger(H->getUint("count", 0))},
+                          {"p50_ms", Json::number(H->getUint("p50", 0) / 1e6)},
+                          {"p95_ms", Json::number(H->getUint("p95", 0) / 1e6)},
+                          {"p99_ms",
+                           Json::number(H->getUint("p99", 0) / 1e6)}}));
   }
   return Out;
 }
@@ -415,21 +410,20 @@ OpenLoopResult runOpenLoop(const std::string &SocketPath,
 }
 
 Json openLoopRateJson(const OpenLoopResult &R) {
-  Json O = Json::object();
-  O.set("offered_rps", Json::number(R.OfferedRps));
-  O.set("fraction_of_saturation", Json::number(R.Fraction));
-  O.set("sent", Json::integer(R.Sent));
-  O.set("ok", Json::integer(R.Ok));
-  O.set("overloaded", Json::integer(R.Overloaded));
-  O.set("shed", Json::integer(R.Shed));
-  O.set("errors", Json::integer(R.Errors));
-  O.set("achieved_rps",
-        Json::number(R.WallSeconds > 0 ? R.Ok / R.WallSeconds : 0));
-  O.set("accepted_p50_ms", Json::number(R.quantile(0.5)));
-  O.set("accepted_p95_ms", Json::number(R.quantile(0.95)));
-  O.set("accepted_p99_ms", Json::number(R.quantile(0.99)));
-  O.set("accepted_mean_ms", Json::number(R.mean()));
-  return O;
+  return Json::object(
+      {{"offered_rps", Json::number(R.OfferedRps)},
+       {"fraction_of_saturation", Json::number(R.Fraction)},
+       {"sent", Json::integer(R.Sent)},
+       {"ok", Json::integer(R.Ok)},
+       {"overloaded", Json::integer(R.Overloaded)},
+       {"shed", Json::integer(R.Shed)},
+       {"errors", Json::integer(R.Errors)},
+       {"achieved_rps",
+        Json::number(R.WallSeconds > 0 ? R.Ok / R.WallSeconds : 0)},
+       {"accepted_p50_ms", Json::number(R.quantile(0.5))},
+       {"accepted_p95_ms", Json::number(R.quantile(0.95))},
+       {"accepted_p99_ms", Json::number(R.quantile(0.99))},
+       {"accepted_mean_ms", Json::number(R.mean())}});
 }
 
 } // namespace
@@ -621,13 +615,13 @@ int main(int Argc, char **Argv) {
               "(%.0fx the %.0f rps thread-per-connection baseline)\n",
               SatRps, SatRps / BaselineRps, BaselineRps);
 
-  Json LoadReq = Json::object();
-  LoadReq.set("op", Json::string("analyze"));
-  LoadReq.set("unit", Json::string("bench.atom"));
-  LoadReq.set("source", Json::string(LoadSource));
-  LoadReq.set("jobs", Json::integer(1));
   std::string LoadWire;
-  appendFrame(LoadWire, LoadReq.str());
+  appendFrame(LoadWire,
+              Json::object({{"op", Json::string("analyze")},
+                            {"unit", Json::string("bench.atom")},
+                            {"source", Json::string(LoadSource)},
+                            {"jobs", Json::integer(1)}})
+                  .str());
 
   const unsigned LoadConns = 8;
   std::vector<double> Fractions =
@@ -659,58 +653,53 @@ int main(int Argc, char **Argv) {
   std::printf("telemetry overhead (warm mean on vs off): %+.1f%%\n",
               OverheadPct);
 
-  Json Root = Json::object();
-  Root.set("schema", Json::integer(3));
-  Json Config = Json::object();
-  Config.set("quick", Json::boolean(Quick));
-  Config.set("workers", Json::integer(Workers));
-  Config.set("sections_per_worker", Json::integer(SectionsPer));
-  Config.set("chains", Json::integer(Chains));
-  Config.set("depth", Json::integer(Depth));
-  Config.set("clients", Json::integer(Clients));
-  Config.set("source_bytes", Json::integer(Source.size()));
-  Config.set("daemon_workers", Json::integer(Opts.Workers));
-  Root.set("config", std::move(Config));
-  Root.set("cold", phaseJson(Cold));
-  Root.set("warm", phaseJson(Warm));
-  Root.set("warm_concurrent", phaseJson(WarmConc));
-  Json Edit = Json::object();
-  Edit.set("latency_ms", Json::number(EditMs));
-  Edit.set("dirty_functions",
-           Json::integer(EditResponse.getUint("dirtyFunctions", 0)));
-  Edit.set("cache_hits", Json::integer(EditResponse.getUint("cacheHits", 0)));
-  Edit.set("cache_misses",
-           Json::integer(EditResponse.getUint("cacheMisses", 0)));
-  Root.set("edit", std::move(Edit));
-  Json OpenLoop = Json::object();
-  OpenLoop.set("saturation_rps", Json::number(SatRps));
-  OpenLoop.set("baseline_rps", Json::number(BaselineRps));
-  OpenLoop.set("speedup_vs_baseline",
-               Json::number(BaselineRps > 0 ? SatRps / BaselineRps : 0));
-  OpenLoop.set("connections", Json::integer(LoadConns));
-  OpenLoop.set("daemon_event_loops", Json::integer(LoadOpts.EventLoops));
-  OpenLoop.set("daemon_workers", Json::integer(LoadOpts.Workers));
-  OpenLoop.set("queue_depth", Json::integer(LoadOpts.QueueDepth));
-  Json Rates = Json::array();
+  Json Root = Json::object(
+      {{"schema", Json::integer(3)},
+       {"config",
+        Json::object({{"quick", Json::boolean(Quick)},
+                      {"workers", Json::integer(Workers)},
+                      {"sections_per_worker", Json::integer(SectionsPer)},
+                      {"chains", Json::integer(Chains)},
+                      {"depth", Json::integer(Depth)},
+                      {"clients", Json::integer(Clients)},
+                      {"source_bytes", Json::uinteger(Source.size())},
+                      {"daemon_workers", Json::integer(Opts.Workers)}})},
+       {"cold", phaseJson(Cold)},
+       {"warm", phaseJson(Warm)},
+       {"warm_concurrent", phaseJson(WarmConc)},
+       {"edit",
+        Json::object(
+            {{"latency_ms", Json::number(EditMs)},
+             {"dirty_functions",
+              Json::uinteger(EditResponse.getUint("dirtyFunctions", 0))},
+             {"cache_hits",
+              Json::uinteger(EditResponse.getUint("cacheHits", 0))},
+             {"cache_misses",
+              Json::uinteger(EditResponse.getUint("cacheMisses", 0))}})}});
+  Json &OpenLoop = Root.set(
+      "open_loop",
+      Json::object(
+          {{"saturation_rps", Json::number(SatRps)},
+           {"baseline_rps", Json::number(BaselineRps)},
+           {"speedup_vs_baseline",
+            Json::number(BaselineRps > 0 ? SatRps / BaselineRps : 0)},
+           {"connections", Json::integer(LoadConns)},
+           {"daemon_event_loops", Json::integer(LoadOpts.EventLoops)},
+           {"daemon_workers", Json::integer(LoadOpts.Workers)},
+           {"queue_depth", Json::integer(LoadOpts.QueueDepth)}}));
+  Json &Rates = OpenLoop.set("rates", Json::array());
   for (const OpenLoopResult &R : Sweep)
     Rates.push(openLoopRateJson(R));
-  OpenLoop.set("rates", std::move(Rates));
-  Root.set("open_loop", std::move(OpenLoop));
   Root.set("phases", std::move(Phases));
-  Json Telemetry = Json::object();
-  Telemetry.set("warm_off_mean_ms", Json::number(WarmOff.mean()));
-  Telemetry.set("warm_on_mean_ms", Json::number(Warm.mean()));
-  Telemetry.set("overhead_pct", Json::number(OverheadPct));
-  Root.set("telemetry", std::move(Telemetry));
+  Root.set("telemetry",
+           Json::object({{"warm_off_mean_ms", Json::number(WarmOff.mean())},
+                         {"warm_on_mean_ms", Json::number(Warm.mean())},
+                         {"overhead_pct", Json::number(OverheadPct)}}));
   Root.set("speedup", Json::number(Speedup));
   Root.set("identical", Json::boolean(Identical));
 
-  std::ofstream Out(OutPath);
-  Out << Root.str() << "\n";
-  if (!Out) {
-    std::fprintf(stderr, "bench_service: cannot write %s\n", OutPath.c_str());
+  if (!support::writeJsonFile(OutPath, Root))
     return 1;
-  }
   std::printf("wrote %s\n", OutPath.c_str());
 
   if (Cold.Errors || Warm.Errors || WarmConc.Errors || WarmOff.Errors ||

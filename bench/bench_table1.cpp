@@ -30,6 +30,7 @@
 #include "lang/Sema.h"
 #include "obs/Obs.h"
 #include "obs/Trace.h"
+#include "support/Json.h"
 #include "workloads/ToyPrograms.h"
 
 #include <chrono>
@@ -154,41 +155,33 @@ struct ObsOverhead {
 void writeJson(const char *Path, double Scale,
                const std::vector<Measurement> &Rows,
                const ObsOverhead &Obs) {
-  std::FILE *Out = std::fopen(Path, "w");
-  if (!Out) {
-    std::fprintf(stderr, "warning: cannot write %s\n", Path);
-    return;
-  }
-  std::fprintf(Out, "{\n  \"scale\": %g,\n  \"rows\": [\n", Scale);
-  for (size_t I = 0; I < Rows.size(); ++I) {
-    const Measurement &R = Rows[I];
-    std::fprintf(Out,
-                 "    {\"name\": \"%s\", \"kloc\": %.1f, \"sections\": %u",
-                 R.Name.c_str(), R.Kloc, R.Sections);
+  using support::Json;
+  Json Doc = Json::object({{"scale", Json::number(Scale)}});
+  Json &List = Doc.set("rows", Json::array());
+  for (const Measurement &R : Rows) {
+    Json &Row =
+        List.push(Json::object({{"name", Json::string(R.Name)},
+                                {"kloc", Json::number(R.Kloc)},
+                                {"sections", Json::integer(R.Sections)}}));
     for (size_t KI = 0; KI < 2; ++KI) {
-      std::fprintf(Out, ",\n     \"k%u\": {", KValues[KI]);
+      Json &ByJobs =
+          Row.set('k' + std::to_string(KValues[KI]), Json::object());
       for (size_t JI = 0; JI < 4; ++JI)
-        std::fprintf(Out, "%s\"jobs%u\": %.4f", JI ? ", " : "",
-                     JobCounts[JI], R.Seconds[KI][JI]);
-      std::fprintf(Out, "}");
+        ByJobs.set("jobs" + std::to_string(JobCounts[JI]),
+                   Json::number(R.Seconds[KI][JI]));
     }
-    std::fprintf(Out,
-                 ",\n     \"check\": {\"seconds\": %.4f, \"findings\": %u, "
-                 "\"mhp_pairs\": %llu}",
-                 R.CheckSeconds, R.CheckFindings,
-                 static_cast<unsigned long long>(R.CheckMhpPairs));
-    std::fprintf(Out, "}%s\n", I + 1 < Rows.size() ? "," : "");
+    Row.set("check",
+            Json::object({{"seconds", Json::number(R.CheckSeconds)},
+                          {"findings", Json::integer(R.CheckFindings)},
+                          {"mhp_pairs", Json::uinteger(R.CheckMhpPairs)}}));
   }
-  std::fprintf(Out, "  ]%s\n", Obs.Measured ? "," : "");
   if (Obs.Measured)
-    std::fprintf(Out,
-                 "  \"obs_overhead\": {\"program\": \"%s\", "
-                 "\"seconds_off\": %.4f, \"seconds_on\": %.4f, "
-                 "\"overhead_pct\": %.2f}\n",
-                 Obs.Program.c_str(), Obs.SecondsOff, Obs.SecondsOn,
-                 Obs.OverheadPct);
-  std::fprintf(Out, "}\n");
-  std::fclose(Out);
+    Doc.set("obs_overhead",
+            Json::object({{"program", Json::string(Obs.Program)},
+                          {"seconds_off", Json::number(Obs.SecondsOff)},
+                          {"seconds_on", Json::number(Obs.SecondsOn)},
+                          {"overhead_pct", Json::number(Obs.OverheadPct)}}));
+  support::writeJsonFile(Path, Doc);
 }
 
 struct Row {

@@ -6,14 +6,11 @@
 
 #include "check/BugReport.h"
 
-#include "support/JsonString.h"
-
 #include <algorithm>
-#include <cstdio>
-#include <sstream>
 
 using namespace lockin;
 using namespace lockin::check;
+using support::Json;
 
 const char *check::findingKindId(FindingKind K) {
   switch (K) {
@@ -58,17 +55,9 @@ std::string dedupKey(const Finding &F) {
   return Key;
 }
 
-/// \p S as a quoted JSON string literal.
-std::string quoted(std::string_view S) {
-  std::string Out;
-  support::appendJsonString(Out, S);
-  return Out;
-}
-
-void appendSiteJson(std::ostringstream &Out, const FindingSite &S) {
-  Out << "{\"function\":" << quoted(S.Function) << ",\"line\":"
-      << S.Loc.Line << ",\"column\":" << S.Loc.Col
-      << ",\"role\":" << quoted(S.Role) << "}";
+/// A SARIF message object.
+Json text(std::string S) {
+  return Json::object({{"text", Json::string(std::move(S))}});
 }
 
 } // namespace
@@ -102,34 +91,38 @@ std::vector<Finding> BugReportMgr::take() {
   return std::move(Findings);
 }
 
-std::string CheckReport::json(const std::string &Artifact) const {
-  std::ostringstream Out;
-  Out << "{\"tool\":\"lockin-check\",\"module\":" << quoted(Artifact)
-      << ",\"summary\":{\"findings\":" << Findings.size()
-      << ",\"sections\":" << Stats.Sections
-      << ",\"elidedSections\":" << Stats.ElidedSections
-      << ",\"bareAccesses\":" << Stats.BareAccesses
-      << ",\"spawnSites\":" << Stats.SpawnSites
-      << ",\"mhpPairs\":" << Stats.MhpPairs << "},\"findings\":[";
-  for (size_t I = 0; I < Findings.size(); ++I) {
-    const Finding &F = Findings[I];
-    if (I)
-      Out << ",";
-    Out << "{\"kind\":\"" << findingKindId(F.Kind) << "\",\"level\":\""
-        << findingKindLevel(F.Kind) << "\",\"message\":" << quoted(F.Message)
-        << ",\"locks\":" << quoted(F.LockSignature) << ",\"locations\":[";
-    for (size_t J = 0; J < F.Sites.size(); ++J) {
-      if (J)
-        Out << ",";
-      appendSiteJson(Out, F.Sites[J]);
-    }
-    Out << "]}";
+Json CheckReport::toJson(const std::string &Artifact) const {
+  Json List = Json::array();
+  for (const Finding &F : Findings) {
+    Json Locations = Json::array();
+    for (const FindingSite &S : F.Sites)
+      Locations.push(Json::object({{"function", Json::string(S.Function)},
+                                   {"line", Json::integer(S.Loc.Line)},
+                                   {"column", Json::integer(S.Loc.Col)},
+                                   {"role", Json::string(S.Role)}}));
+    Json &Item = List.push(
+        Json::object({{"kind", Json::string(findingKindId(F.Kind))},
+                      {"level", Json::string(findingKindLevel(F.Kind))},
+                      {"message", Json::string(F.Message)},
+                      {"locks", Json::string(F.LockSignature)}}));
+    Item.set("locations", std::move(Locations));
   }
-  Out << "]}";
-  return Out.str();
+  Json Report = Json::object(
+      {{"tool", Json::string("lockin-check")},
+       {"module", Json::string(Artifact)},
+       {"summary",
+        Json::object(
+            {{"findings", Json::uinteger(Findings.size())},
+             {"sections", Json::integer(Stats.Sections)},
+             {"elidedSections", Json::integer(Stats.ElidedSections)},
+             {"bareAccesses", Json::integer(Stats.BareAccesses)},
+             {"spawnSites", Json::integer(Stats.SpawnSites)},
+             {"mhpPairs", Json::uinteger(Stats.MhpPairs)}})}});
+  Report.set("findings", std::move(List));
+  return Report;
 }
 
-std::string CheckReport::sarif(const std::string &Artifact) const {
+Json CheckReport::toSarif(const std::string &Artifact) const {
   // Rules in kind order; results reference them by id and index.
   static const FindingKind Kinds[] = {
       FindingKind::DataRace, FindingKind::LocksetRace,
@@ -144,39 +137,46 @@ std::string CheckReport::sarif(const std::string &Artifact) const {
       "The hypothetical incremental two-phase acquisition order of the "
       "inferred locks contains a cycle among may-parallel sections."};
 
-  std::ostringstream Out;
-  Out << "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\","
-         "\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{"
-         "\"name\":\"lockin-check\",\"informationUri\":"
-         "\"https://example.invalid/lockin\",\"rules\":[";
-  for (size_t I = 0; I < 4; ++I) {
-    if (I)
-      Out << ",";
-    Out << "{\"id\":\"" << findingKindId(Kinds[I])
-        << "\",\"shortDescription\":{\"text\":" << quoted(Descriptions[I])
-        << "}}";
-  }
-  Out << "]}},\"results\":[";
-  for (size_t I = 0; I < Findings.size(); ++I) {
-    const Finding &F = Findings[I];
-    if (I)
-      Out << ",";
-    Out << "{\"ruleId\":\"" << findingKindId(F.Kind) << "\",\"ruleIndex\":"
-        << static_cast<unsigned>(F.Kind) << ",\"level\":\""
-        << findingKindLevel(F.Kind) << "\",\"message\":{\"text\":"
-        << quoted(F.Message) << "},\"locations\":[";
-    for (size_t J = 0; J < F.Sites.size(); ++J) {
-      const FindingSite &S = F.Sites[J];
-      if (J)
-        Out << ",";
-      Out << "{\"physicalLocation\":{\"artifactLocation\":{\"uri\":"
-          << quoted(Artifact) << "},\"region\":{\"startLine\":"
-          << (S.Loc.isValid() ? S.Loc.Line : 1u)
-          << ",\"startColumn\":" << (S.Loc.isValid() ? S.Loc.Col : 1u)
-          << "}},\"message\":{\"text\":" << quoted(S.Role) << "}}";
+  Json Rules = Json::array();
+  for (size_t I = 0; I < 4; ++I)
+    Rules.push(Json::object({{"id", Json::string(findingKindId(Kinds[I]))},
+                             {"shortDescription", text(Descriptions[I])}}));
+  Json Results = Json::array();
+  for (const Finding &F : Findings) {
+    Json Locations = Json::array();
+    for (const FindingSite &S : F.Sites) {
+      unsigned Line = S.Loc.isValid() ? S.Loc.Line : 1u;
+      unsigned Col = S.Loc.isValid() ? S.Loc.Col : 1u;
+      Locations.push(Json::object(
+          {{"physicalLocation",
+            Json::object(
+                {{"artifactLocation",
+                  Json::object({{"uri", Json::string(Artifact)}})},
+                 {"region", Json::object({{"startLine", Json::integer(Line)},
+                                          {"startColumn",
+                                           Json::integer(Col)}})}})},
+           {"message", text(S.Role)}}));
     }
-    Out << "],\"properties\":{\"locks\":" << quoted(F.LockSignature) << "}}";
+    Json &Result = Results.push(Json::object(
+        {{"ruleId", Json::string(findingKindId(F.Kind))},
+         {"ruleIndex", Json::integer(static_cast<unsigned>(F.Kind))},
+         {"level", Json::string(findingKindLevel(F.Kind))},
+         {"message", text(F.Message)}}));
+    Result.set("locations", std::move(Locations));
+    Result.set("properties",
+               Json::object({{"locks", Json::string(F.LockSignature)}}));
   }
-  Out << "]}]}";
-  return Out.str();
+
+  Json Driver = Json::object(
+      {{"name", Json::string("lockin-check")},
+       {"informationUri", Json::string("https://example.invalid/lockin")},
+       {"rules", std::move(Rules)}});
+  Json Run = Json::object({{"tool", Json::object({{"driver", Driver}})}});
+  Run.set("results", std::move(Results));
+  Json Log = Json::object(
+      {{"$schema",
+        Json::string("https://json.schemastore.org/sarif-2.1.0.json")},
+       {"version", Json::string("2.1.0")}});
+  Log.set("runs", Json::array()).push(std::move(Run));
+  return Log;
 }

@@ -10,9 +10,10 @@
 /// severity ranking), and `CheckReport` (the finished, deterministic
 /// report with JSON and SARIF 2.1.0 renderers).
 ///
-/// Rendering is hand-rolled and insertion-ordered: the same module always
-/// produces byte-identical reports, which is what the golden tests and
-/// the service's warm-cache byte-identity contract rely on.
+/// Both reports are support::Json values with insertion-ordered members:
+/// the same module always produces byte-identical text, which is what the
+/// golden tests and the service's warm-cache byte-identity contract rely
+/// on. The daemon embeds the same value in its `check` responses.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +21,7 @@
 #define LOCKIN_CHECK_BUGREPORT_H
 
 #include "pointsto/Steensgaard.h"
+#include "support/Json.h"
 #include "support/SourceLoc.h"
 
 #include <string>
@@ -98,11 +100,18 @@ struct CheckReport {
            (R < SectionAccessRegions.size() && SectionAccessRegions[R]);
   }
 
-  /// Deterministic JSON report; \p Artifact names the analyzed input.
-  std::string json(const std::string &Artifact) const;
+  /// The JSON report; \p Artifact names the analyzed input.
+  support::Json toJson(const std::string &Artifact) const;
   /// SARIF 2.1.0 (loads in standard viewers); \p Artifact becomes the
   /// result locations' artifact URI.
-  std::string sarif(const std::string &Artifact) const;
+  support::Json toSarif(const std::string &Artifact) const;
+  /// The two documents as compact text.
+  std::string json(const std::string &Artifact) const {
+    return toJson(Artifact).str();
+  }
+  std::string sarif(const std::string &Artifact) const {
+    return toSarif(Artifact).str();
+  }
 };
 
 } // namespace check

@@ -14,6 +14,8 @@
 #include "obs/Metrics.h"
 #include "obs/Obs.h"
 
+#include <cstdio>
+
 using namespace lockin;
 
 std::string Compilation::transformedText() const {
@@ -27,28 +29,40 @@ std::string Compilation::transformedText() const {
   });
 }
 
+void lockin::appendReportTrailer(
+    std::string &Out,
+    const std::vector<const ir::IrFunction *> &SectionFunctions,
+    const LockCensus &Census,
+    const std::function<void(uint32_t, std::string &)> &AppendLocks) {
+  char Line[64];
+  for (uint32_t Id = 0; Id < SectionFunctions.size(); ++Id) {
+    std::snprintf(Line, sizeof(Line), "; section #%u in ", Id);
+    Out += Line;
+    Out += SectionFunctions[Id] ? SectionFunctions[Id]->name()
+                                : std::string("?");
+    Out += ": ";
+    AppendLocks(Id, Out);
+    Out += "\n";
+  }
+  std::snprintf(Line, sizeof(Line),
+                "; locks: fine-ro=%u fine-rw=%u coarse-ro=%u coarse-rw=%u\n",
+                Census.FineRO, Census.FineRW, Census.CoarseRO,
+                Census.CoarseRW);
+  Out += Line;
+}
+
 std::string Compilation::report() const {
   std::string Out = transformedText();
   if (!Inference)
     return Out;
-  char Line[64];
-  for (const auto &Section : Inference->sections()) {
-    Out += "; section #";
-    std::snprintf(Line, sizeof(Line), "%u", Section.SectionId);
-    Out += Line;
-    Out += " in ";
-    Out += Section.Function ? Section.Function->name() : std::string("?");
-    Out += ": ";
-    Out += Section.Locks.str();
-    Out += "\n";
-  }
-  LockCensus Census = Inference->census();
-  std::snprintf(Line, sizeof(Line),
-                "fine-ro=%u fine-rw=%u coarse-ro=%u coarse-rw=%u\n",
-                Census.FineRO, Census.FineRW, Census.CoarseRO,
-                Census.CoarseRW);
-  Out += "; locks: ";
-  Out += Line;
+  const auto &Sections = Inference->sections();
+  std::vector<const ir::IrFunction *> Functions;
+  for (const auto &Section : Sections)
+    Functions.push_back(Section.Function);
+  appendReportTrailer(Out, Functions, Inference->census(),
+                      [&](uint32_t Id, std::string &Text) {
+                        Text += Sections[Id].Locks.str();
+                      });
   return Out;
 }
 

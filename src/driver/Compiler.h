@@ -26,9 +26,11 @@
 #include "pointsto/Steensgaard.h"
 #include "support/Diagnostics.h"
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace lockin {
 
@@ -102,6 +104,17 @@ private:
   std::string Transformed;
   PipelineStats Stats;
 };
+
+/// Appends the lines a report prints after the transformed program: one
+/// "; section #N in F: {...}" line per section (\p SectionFunctions[N]
+/// names F; null prints "?"; \p AppendLocks(N, Out) appends the lock set)
+/// and the "; locks:" census line. Compilation::report() and the daemon's
+/// incremental report both print it, so the two stay byte-identical.
+void appendReportTrailer(
+    std::string &Out,
+    const std::vector<const ir::IrFunction *> &SectionFunctions,
+    const LockCensus &Census,
+    const std::function<void(uint32_t, std::string &)> &AppendLocks);
 
 /// Compiles \p Source; never returns null. On failure the result's
 /// diagnostics explain why.

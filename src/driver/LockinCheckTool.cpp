@@ -27,11 +27,11 @@
 
 #include "driver/Cli.h"
 #include "driver/Compiler.h"
+#include "support/Json.h"
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <iostream>
 #include <sstream>
 #include <string>
 
@@ -127,21 +127,6 @@ bool parseCheckArgs(int Argc, const char *const *Argv, CheckCliOptions &Out) {
   return true;
 }
 
-bool writeReport(const std::string &Dest, const std::string &Text) {
-  if (Dest == "-") {
-    std::fputs(Text.c_str(), stdout);
-    std::fputc('\n', stdout);
-    return true;
-  }
-  std::ofstream Out(Dest);
-  if (!Out) {
-    std::fprintf(stderr, "error: cannot write %s\n", Dest.c_str());
-    return false;
-  }
-  Out << Text << "\n";
-  return true;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -182,16 +167,16 @@ int main(int Argc, char **Argv) {
   const check::CheckReport &R = *C->checkReport();
   bool WroteAny = false;
   if (!Cli.JsonOut.empty()) {
-    if (!writeReport(Cli.JsonOut, R.json(Cli.Path)))
+    if (!support::writeJsonFile(Cli.JsonOut, R.toJson(Cli.Path)))
       return 1;
     WroteAny = true;
   }
   if (!Cli.SarifOut.empty()) {
-    if (!writeReport(Cli.SarifOut, R.sarif(Cli.Path)))
+    if (!support::writeJsonFile(Cli.SarifOut, R.toSarif(Cli.Path)))
       return 1;
     WroteAny = true;
   }
   if (!WroteAny)
-    writeReport("-", R.json(Cli.Path));
+    support::writeJsonFile("-", R.toJson(Cli.Path));
   return 0;
 }

@@ -16,10 +16,9 @@
 #include "obs/LockProfiler.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
+#include "support/Json.h"
 
 #include <cstdio>
-#include <fstream>
-#include <iostream>
 
 using namespace lockin;
 using namespace lockin::tool;
@@ -27,26 +26,14 @@ using namespace lockin::tool;
 int tool::drainObsOutputs(const cli::CliOptions &Opts) {
   if (Opts.ProfileLocks)
     std::fputs(obs::lockProfiler().renderTable().c_str(), stdout);
-  if (!Opts.MetricsOut.empty()) {
-    if (Opts.MetricsOut == "-") {
-      obs::metrics().writeJson(std::cout);
-    } else {
-      std::ofstream Out(Opts.MetricsOut);
-      if (!Out) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     Opts.MetricsOut.c_str());
-        return 1;
-      }
-      obs::metrics().writeJson(Out);
-    }
-  }
+  if (!Opts.MetricsOut.empty() &&
+      !support::writeJsonFile(Opts.MetricsOut, obs::metrics().toJson()))
+    return 1;
   if (!Opts.TraceOut.empty()) {
-    std::ofstream Out(Opts.TraceOut);
-    if (!Out) {
-      std::fprintf(stderr, "error: cannot write %s\n", Opts.TraceOut.c_str());
+    if (!support::writeFileOrStdout(Opts.TraceOut, [](std::ostream &OS) {
+          obs::tracer().writeChromeJson(OS);
+        }))
       return 1;
-    }
-    obs::tracer().writeChromeJson(Out);
     if (uint64_t Dropped = obs::tracer().totalDropped())
       std::fprintf(stderr,
                    "note: trace ring buffers dropped %llu oldest events\n",

@@ -153,6 +153,10 @@ private:
 };
 
 struct Shared {
+  Shared(const IrModule &Module, const PointsToAnalysis &PT,
+         const InferenceResult *Inference, const InterpOptions &Options)
+      : Module(Module), PT(PT), Inference(Inference), Options(Options) {}
+
   const IrModule &Module;
   const PointsToAnalysis &PT;
   const InferenceResult *Inference;

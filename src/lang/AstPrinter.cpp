@@ -37,16 +37,16 @@ std::string lockin::printExpr(const Expr *E) {
   }
   case Expr::Kind::Binary: {
     const auto *B = cast<BinaryExpr>(E);
-    return "(" + printExpr(B->lhs()) + " " + binaryOpSpelling(B->op()) +
+    return '(' + printExpr(B->lhs()) + " " + binaryOpSpelling(B->op()) +
            " " + printExpr(B->rhs()) + ")";
   }
   case Expr::Kind::Arrow: {
     const auto *A = cast<ArrowExpr>(E);
-    return "(" + printExpr(A->base()) + ")->" + A->fieldName();
+    return '(' + printExpr(A->base()) + ")->" + A->fieldName();
   }
   case Expr::Kind::Index: {
     const auto *Ix = cast<IndexExpr>(E);
-    return "(" + printExpr(Ix->base()) + ")[" + printExpr(Ix->index()) + "]";
+    return '(' + printExpr(Ix->base()) + ")[" + printExpr(Ix->index()) + "]";
   }
   case Expr::Kind::Call: {
     const auto *C = cast<CallExpr>(E);
@@ -65,7 +65,7 @@ std::string lockin::printExpr(const Expr *E) {
     for (unsigned I = 0; I < N->ptrDepth(); ++I)
       Out += "*";
     if (N->arraySize())
-      Out += "[" + printExpr(N->arraySize()) + "]";
+      Out += '[' + printExpr(N->arraySize()) + "]";
     return Out;
   }
   }

@@ -69,7 +69,7 @@ std::string IdxExpr::str() const {
   case Kind::VarVal:
     return Var->name();
   case Kind::Bin:
-    return "(" + Lhs->str() + " " + intBinOpSpelling(Op) + " " + Rhs->str() +
+    return '(' + Lhs->str() + " " + intBinOpSpelling(Op) + " " + Rhs->str() +
            ")";
   }
   return "?";

@@ -254,7 +254,7 @@ public:
                   Second.starDeref(Pairs[L].second, Eff));
   }
   std::string str(Lock L) override {
-    return "(" + First.str(Pairs[L].first) + ", " +
+    return '(' + First.str(Pairs[L].first) + ", " +
            Second.str(Pairs[L].second) + ")";
   }
 

@@ -51,35 +51,28 @@ uint64_t Histogram::quantile(double P) const {
   return bucketHi(NumBuckets - 1);
 }
 
-void MetricsRegistry::writeJson(std::ostream &OS) const {
+support::Json MetricsRegistry::toJson() const {
+  using support::Json;
   std::lock_guard<std::mutex> Lock(Mu);
-  OS << "{\n  \"counters\": {";
-  bool First = true;
-  for (const auto &[Name, C] : Counters) {
-    OS << (First ? "\n" : ",\n") << "    \"" << Name
-       << "\": " << C->value();
-    First = false;
-  }
-  OS << (First ? "" : "\n  ") << "},\n  \"histograms\": {";
-  First = true;
+  Json Doc = Json::object();
+  Json &CounterValues = Doc.set("counters", Json::object());
+  for (const auto &[Name, C] : Counters)
+    CounterValues.set(Name, Json::uinteger(C->value()));
+  Json &HistogramValues = Doc.set("histograms", Json::object());
   for (const auto &[Name, H] : Histograms) {
-    OS << (First ? "\n" : ",\n") << "    \"" << Name << "\": {\"count\": "
-       << H->count() << ", \"sum\": " << H->sum()
-       << ", \"p50\": " << H->quantile(0.50)
-       << ", \"p99\": " << H->quantile(0.99) << ", \"buckets\": [";
-    bool FirstBucket = true;
-    for (unsigned B = 0; B < Histogram::NumBuckets; ++B) {
-      uint64_t N = H->bucketCount(B);
-      if (N == 0)
-        continue;
-      OS << (FirstBucket ? "" : ", ") << "[" << Histogram::bucketHi(B)
-         << ", " << N << "]";
-      FirstBucket = false;
-    }
-    OS << "]}";
-    First = false;
+    Json &O = HistogramValues.set(
+        Name, Json::object({{"count", Json::uinteger(H->count())},
+                            {"sum", Json::uinteger(H->sum())},
+                            {"p50", Json::uinteger(H->quantile(0.50))},
+                            {"p95", Json::uinteger(H->quantile(0.95))},
+                            {"p99", Json::uinteger(H->quantile(0.99))}}));
+    Json &Buckets = O.set("buckets", Json::array());
+    for (unsigned B = 0; B < Histogram::NumBuckets; ++B)
+      if (uint64_t N = H->bucketCount(B))
+        Buckets.push(Json::array(
+            {Json::uinteger(Histogram::bucketHi(B)), Json::uinteger(N)}));
   }
-  OS << (First ? "" : "\n  ") << "}\n}\n";
+  return Doc;
 }
 
 namespace {

@@ -12,13 +12,16 @@
 /// plain cells and flush them through a handle in one batched add — the
 /// pattern the lock runtime's ThreadLockContext uses.
 ///
-/// Exported as JSON (`--metrics-out=FILE`, `-` = stdout) and consumed by
-/// the lock-contention profiler's human table (`--profile-locks`).
+/// Exported as one JSON document (`--metrics-out=FILE`, `-` = stdout, and
+/// the daemon's `metrics` op) and consumed by the lock-contention
+/// profiler's human table (`--profile-locks`).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef LOCKIN_OBS_METRICS_H
 #define LOCKIN_OBS_METRICS_H
+
+#include "support/Json.h"
 
 #include <atomic>
 #include <bit>
@@ -113,9 +116,10 @@ public:
   Counter &counter(std::string_view Name);
   Histogram &histogram(std::string_view Name);
 
-  /// {"counters": {...}, "histograms": {...}} — keys sorted, buckets
-  /// emitted sparsely as [le, count] pairs.
-  void writeJson(std::ostream &OS) const;
+  /// {"counters":{name:n},"histograms":{name:{count,sum,p50,p95,p99,
+  /// buckets}}} — names sorted, buckets sparse as [le, count] pairs. What
+  /// --metrics-out writes and the daemon's `metrics` op returns.
+  support::Json toJson() const;
 
   /// Prometheus text exposition (format 0.0.4) of the whole registry:
   /// counters as `lockin_<name>_total`, histograms as cumulative
@@ -128,18 +132,6 @@ public:
   /// Zero every registered metric (benchmarks reuse one registry across
   /// phases). Handles stay valid.
   void reset();
-
-  template <typename Fn> void forEachCounter(Fn &&F) const {
-    std::lock_guard<std::mutex> Lock(Mu);
-    for (const auto &[Name, C] : Counters)
-      F(Name, *C);
-  }
-
-  template <typename Fn> void forEachHistogram(Fn &&F) const {
-    std::lock_guard<std::mutex> Lock(Mu);
-    for (const auto &[Name, H] : Histograms)
-      F(Name, *H);
-  }
 
 private:
   mutable std::mutex Mu;

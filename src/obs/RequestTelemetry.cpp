@@ -6,11 +6,6 @@
 
 #include "obs/RequestTelemetry.h"
 
-#include "support/JsonString.h"
-
-#include <cinttypes>
-#include <cstdio>
-
 using namespace lockin;
 using namespace lockin::obs;
 
@@ -79,55 +74,31 @@ uint64_t FlightRecorder::recorded() const {
   return Written;
 }
 
-void FlightRecorder::appendJson(std::string &Out,
-                                const FlightRecord &R) const {
-  char Buf[160];
-  std::snprintf(Buf, sizeof(Buf),
-                "{\"id\": %" PRIu64 ", \"start_ns\": %" PRIu64
-                ", \"total_ns\": %" PRIu64,
-                R.Id, R.StartNs, R.TotalNs);
-  Out += Buf;
-  Out += ", \"op\": ";
-  support::appendJsonString(Out, R.Op);
-  Out += ", \"unit\": ";
-  support::appendJsonString(Out, R.Unit);
-  Out += ", \"peer\": ";
-  support::appendJsonString(Out, R.Peer);
-  Out += ", \"outcome\": ";
-  support::appendJsonString(Out, R.Outcome);
-  Out += ", \"phases_ns\": {";
-  for (unsigned I = 0; I < kNumReqPhases; ++I) {
-    std::snprintf(Buf, sizeof(Buf), "%s\"%s\": %" PRIu64, I ? ", " : "",
-                  reqPhaseName(static_cast<ReqPhase>(I)), R.PhaseNs[I]);
-    Out += Buf;
+support::Json FlightRecorder::toJson() const {
+  using support::Json;
+  Json Records = Json::array();
+  for (const FlightRecord &R : snapshot()) {
+    Json Phases = Json::object();
+    for (unsigned I = 0; I < kNumReqPhases; ++I)
+      Phases.set(reqPhaseName(static_cast<ReqPhase>(I)),
+                 Json::uinteger(R.PhaseNs[I]));
+    Records.push(Json::object({{"id", Json::uinteger(R.Id)},
+                               {"op", Json::string(R.Op)},
+                               {"unit", Json::string(R.Unit)},
+                               {"peer", Json::string(R.Peer)},
+                               {"outcome", Json::string(R.Outcome)},
+                               {"start_ns", Json::uinteger(R.StartNs)},
+                               {"total_ns", Json::uinteger(R.TotalNs)},
+                               {"phases_ns", std::move(Phases)},
+                               {"cache_hits", Json::integer(R.CacheHits)},
+                               {"cache_misses", Json::integer(R.CacheMisses)},
+                               {"dirty_cone", Json::integer(R.DirtyCone)},
+                               {"sections", Json::integer(R.Sections)}}));
   }
-  std::snprintf(Buf, sizeof(Buf),
-                "}, \"cache_hits\": %" PRIu32 ", \"cache_misses\": %" PRIu32
-                ", \"dirty_cone\": %" PRIu32 ", \"sections\": %" PRIu32 "}",
-                R.CacheHits, R.CacheMisses, R.DirtyCone, R.Sections);
-  Out += Buf;
-}
-
-void FlightRecorder::writeJson(std::ostream &OS) const {
-  std::vector<FlightRecord> Records = snapshot();
-  uint64_t Total;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    Total = Written;
-  }
-  std::string Out;
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf),
-                "{\"capacity\": %zu, \"recorded\": %" PRIu64
-                ", \"records\": [",
-                Cap, Total);
-  Out += Buf;
-  for (size_t I = 0; I < Records.size(); ++I) {
-    Out += I ? ",\n  " : "\n  ";
-    appendJson(Out, Records[I]);
-  }
-  Out += Records.empty() ? "]}\n" : "\n]}\n";
-  OS << Out;
+  Json Doc = Json::object({{"capacity", Json::uinteger(Cap)},
+                           {"recorded", Json::uinteger(recorded())}});
+  Doc.set("records", std::move(Records));
+  return Doc;
 }
 
 bool FlightRecorder::dump(Logger &Log, std::string_view Reason,

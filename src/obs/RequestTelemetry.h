@@ -30,10 +30,10 @@
 
 #include "obs/Log.h"
 #include "obs/Obs.h"
+#include "support/Json.h"
 
 #include <cstdint>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -162,8 +162,9 @@ public:
   uint64_t recorded() const;
   size_t capacity() const { return Cap; }
 
-  /// {"capacity":..,"recorded":..,"records":[...]} oldest-first.
-  void writeJson(std::ostream &OS) const;
+  /// {"capacity":..,"recorded":..,"records":[...]} oldest-first: what
+  /// --flightrecord-out writes and the daemon's `flightrecord` op returns.
+  support::Json toJson() const;
 
   /// Emits one "flightrecord.dump" header line plus one line per retained
   /// record at Warn level. Returns false when suppressed by the rate
@@ -174,8 +175,6 @@ public:
   void clear();
 
 private:
-  void appendJson(std::string &Out, const FlightRecord &R) const;
-
   mutable std::mutex Mu;
   std::vector<FlightRecord> Ring; // Ring[Written % Cap] is the write slot
   size_t Cap;

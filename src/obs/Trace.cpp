@@ -8,11 +8,9 @@
 
 #include "obs/RequestTelemetry.h"
 #include "runtime/Mode.h"
-#include "support/JsonString.h"
+#include "support/Json.h"
 
 #include <bit>
-#include <cinttypes>
-#include <cstdio>
 
 using namespace lockin;
 using namespace lockin::obs;
@@ -119,30 +117,43 @@ bool isSimKind(EventKind K) {
 } // namespace
 
 void Tracer::writeChromeJson(std::ostream &OS) const {
+  using support::Json;
   std::lock_guard<std::mutex> Lock(Mu);
-  OS << "{\"traceEvents\": [\n";
+  // The envelope is written around the events, and each event is its own
+  // small Json value, so a full ring never becomes one tree.
+  std::string Text = "{";
+  support::appendJsonString(Text, "traceEvents");
+  Text += ":[";
   bool First = true;
-  auto Emit = [&](const char *Line) {
-    OS << (First ? "" : ",\n") << Line;
+  auto Emit = [&](const Json &Event) {
+    if (!First)
+      Text += ",\n";
     First = false;
+    Event.write(Text);
+    OS << Text;
+    Text.clear();
   };
-  char Line[256];
+  // A metadata row naming process \p Pid, or its thread \p Tid if nonzero.
+  auto Meta = [](const char *What, unsigned Pid, uint32_t Tid,
+                 std::string Name) {
+    Json Row = Json::object({{"name", Json::string(What)},
+                             {"ph", Json::string("M")},
+                             {"pid", Json::integer(Pid)}});
+    if (Tid)
+      Row.set("tid", Json::integer(Tid));
+    Row.set("args", Json::object({{"name", Json::string(std::move(Name))}}));
+    return Row;
+  };
 
-  // Process/thread metadata rows. pid 1 = real time, pid 2 = simulated.
-  Emit("{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, "
-       "\"args\": {\"name\": \"lockin\"}}");
-  Emit("{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 2, "
-       "\"args\": {\"name\": \"lockin-sim (ts in cycles)\"}}");
-  Emit("{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 3, "
-       "\"args\": {\"name\": \"lockin-service (per-request)\"}}");
-  for (const auto &B : Buffers) {
-    std::snprintf(Line, sizeof(Line),
-                  "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
-                  "\"tid\": %" PRIu32
-                  ", \"args\": {\"name\": \"thread %" PRIu32 "\"}}",
-                  B->tid(), B->tid());
-    Emit(Line);
-  }
+  // Process/thread metadata rows. pid 1 = real time, pid 2 = simulated,
+  // pid 3 = service requests.
+  const char *const Processes[] = {"lockin", "lockin-sim (ts in cycles)",
+                                   "lockin-service (per-request)"};
+  for (unsigned Pid = 1; Pid <= 3; ++Pid)
+    Emit(Meta("process_name", Pid, 0, Processes[Pid - 1]));
+  for (const auto &B : Buffers)
+    Emit(Meta("thread_name", 1, B->tid(),
+              "thread " + std::to_string(B->tid())));
 
   for (const auto &B : Buffers) {
     size_t N = B->size();
@@ -156,53 +167,38 @@ void Tracer::writeChromeJson(std::ostream &OS) const {
       uint32_t Tid = E.Tid ? E.Tid : B->tid();
       // Chrome wants microseconds; simulated events pass cycles through
       // 1:1 (the sim's own time base).
-      double Ts = isSimKind(E.Kind) ? static_cast<double>(E.TsNs)
-                                    : static_cast<double>(E.TsNs) / 1000.0;
-      double Dur = isSimKind(E.Kind) ? static_cast<double>(E.DurNs)
-                                     : static_cast<double>(E.DurNs) / 1000.0;
+      double Scale = isSimKind(E.Kind) ? 1.0 : 1000.0;
       std::string Name;
-      std::string Args;
-      // Sized for the worst-case X-span tail: two %.3f timestamps can
-      // each run ~17 chars when the clock origin is large, plus the
-      // longest args payload.
-      char Buf[192];
+      const char *Arg = nullptr; // the key E.A is reported under, if any
       switch (E.Kind) {
       case EventKind::SectionSpan:
         Name = "section";
-        std::snprintf(Buf, sizeof(Buf), "{\"section\": %" PRIu64 "}", E.A);
-        Args = Buf;
+        Arg = "section";
         break;
       case EventKind::AcquireSpan:
         Name = "acquireAll";
-        std::snprintf(Buf, sizeof(Buf), "{\"nodes\": %" PRIu64 "}", E.A);
-        Args = Buf;
+        Arg = "nodes";
         break;
       case EventKind::NodeWaitSpan:
         Name = "lock-wait";
-        std::snprintf(Buf, sizeof(Buf),
-                      "{\"node\": %" PRIu64 ", \"mode\": \"%s\"}", E.A,
-                      rt::modeName(static_cast<rt::Mode>(E.Mode)));
-        Args = Buf;
+        Arg = "node";
         break;
       case EventKind::PassSpan:
         Name = E.A < Names.size() ? Names[E.A] : "pass";
-        Args = "{}";
         break;
       case EventKind::StepsCount:
         Name = "interp-steps";
+        Arg = "steps";
         break;
       case EventKind::SimOpSpan:
         Name = "sim-op";
-        std::snprintf(Buf, sizeof(Buf), "{\"op\": %" PRIu64 "}", E.A);
-        Args = Buf;
+        Arg = "op";
         break;
       case EventKind::SimWaitSpan:
         Name = "sim-blocked";
-        Args = "{}";
         break;
       case EventKind::SimAbort:
         Name = "sim-abort";
-        Args = "{}";
         break;
       case EventKind::PolicyEvent: {
         // Mirrors rt::adaptive::PolicyAction (obs cannot include the
@@ -210,53 +206,50 @@ void Tracer::writeChromeJson(std::ostream &OS) const {
         static const char *const Actions[] = {
             "bias-set",     "bias-clear", "escalate", "deescalate",
             "migrate-stm",  "migrate-lock"};
-        unsigned A = E.Mode < 6 ? E.Mode : 0;
         Name = "policy:";
-        Name += Actions[A];
-        std::snprintf(Buf, sizeof(Buf), "{\"target\": %" PRIu64 "}", E.A);
-        Args = Buf;
+        Name += Actions[E.Mode < 6 ? E.Mode : 0];
+        Arg = "target";
         break;
       }
-      case EventKind::RequestPhaseSpan: {
-        unsigned P = E.Mode < kNumReqPhases ? E.Mode : 0;
+      case EventKind::RequestPhaseSpan:
         Name = "req:";
-        Name += reqPhaseName(static_cast<ReqPhase>(P));
-        std::snprintf(Buf, sizeof(Buf), "{\"request\": %" PRIu64 "}", E.A);
-        Args = Buf;
+        Name += reqPhaseName(
+            static_cast<ReqPhase>(E.Mode < kNumReqPhases ? E.Mode : 0));
+        Arg = "request";
         break;
       }
-      }
-      std::string Out = "{\"name\": ";
-      support::appendJsonString(Out, Name);
-      Out += ", \"ph\": \"";
-      if (E.Kind == EventKind::StepsCount) {
-        std::snprintf(Buf, sizeof(Buf),
-                      "C\", \"ts\": %.3f, \"pid\": %u, \"tid\": %" PRIu32
-                      ", \"args\": {\"steps\": %" PRIu64 "}}",
-                      Ts, Pid, Tid, E.A);
-        Out += Buf;
-      } else if (E.Kind == EventKind::SimAbort ||
-                 E.Kind == EventKind::PolicyEvent) {
-        std::snprintf(Buf, sizeof(Buf),
-                      "i\", \"s\": \"t\", \"ts\": %.3f, \"pid\": %u, "
-                      "\"tid\": %" PRIu32 ", \"args\": %s}",
-                      Ts, Pid, Tid, Args.c_str());
-        Out += Buf;
-      } else {
-        std::snprintf(Buf, sizeof(Buf),
-                      "X\", \"ts\": %.3f, \"dur\": %.3f, \"pid\": %u, "
-                      "\"tid\": %" PRIu32 ", \"args\": %s}",
-                      Ts, Dur, Pid, Tid, Args.c_str());
-        Out += Buf;
-      }
-      Emit(Out.c_str());
+      bool Instant =
+          E.Kind == EventKind::SimAbort || E.Kind == EventKind::PolicyEvent;
+      bool Counter = E.Kind == EventKind::StepsCount;
+      Json Out = Json::object(
+          {{"name", Json::string(std::move(Name))},
+           {"ph", Json::string(Counter ? "C" : Instant ? "i" : "X")}});
+      if (Instant)
+        Out.set("s", Json::string("t"));
+      Out.set("ts", Json::number(static_cast<double>(E.TsNs) / Scale));
+      if (!Counter && !Instant)
+        Out.set("dur", Json::number(static_cast<double>(E.DurNs) / Scale));
+      Out.set("pid", Json::integer(Pid));
+      Out.set("tid", Json::integer(Tid));
+      Json &Args = Out.set("args", Json::object());
+      if (Arg)
+        Args.set(Arg, Json::uinteger(E.A));
+      if (E.Kind == EventKind::NodeWaitSpan)
+        Args.set("mode",
+                 Json::string(rt::modeName(static_cast<rt::Mode>(E.Mode))));
+      Emit(Out);
     }
   }
-  OS << "\n], \"droppedEvents\": ";
+
   uint64_t Dropped = 0;
   for (const auto &B : Buffers)
     Dropped += B->dropped();
-  OS << Dropped << "}\n";
+  Text += "],";
+  support::appendJsonString(Text, "droppedEvents");
+  Text += ':';
+  Json::uinteger(Dropped).write(Text);
+  Text += "}\n";
+  OS << Text;
 }
 
 Tracer &obs::tracer() {

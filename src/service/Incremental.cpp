@@ -13,7 +13,6 @@
 #include "service/Hash.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <optional>
 
 using namespace lockin;
@@ -27,8 +26,7 @@ namespace {
 constexpr size_t ReanalyzeBatch = 16;
 
 bool pastDeadline(const AnalyzeParams &P) {
-  return P.Deadline != std::chrono::steady_clock::time_point{} &&
-         std::chrono::steady_clock::now() > P.Deadline;
+  return P.DeadlineNs && obs::nowNs() > P.DeadlineNs;
 }
 
 AnalyzeOutcome timedOut() {
@@ -185,7 +183,7 @@ AnalyzeOutcome IncrementalAnalyzer::analyze(const std::string &Unit,
       auto It = CheckEntries.find(Unit);
       if (It != CheckEntries.end() && It->second.Fingerprint == CheckFp) {
         Out.CheckCacheHit = true;
-        Out.CheckJson = It->second.Json;
+        Out.CheckJson = It->second.Report;
         Out.CheckFindings = It->second.Findings;
         Out.CheckMhpPairs = It->second.MhpPairs;
         Out.CheckElided = It->second.Elided;
@@ -251,7 +249,7 @@ AnalyzeOutcome IncrementalAnalyzer::analyze(const std::string &Unit,
         check::CheckReport Report = check::Checker::runAll(
             Module, CG, C->pointsTo(), Result, Params.K);
         Out.Checked = true;
-        Out.CheckJson = Report.json(Unit);
+        Out.CheckJson = Report.toJson(Unit);
         Out.CheckFindings = Report.Stats.Findings;
         Out.CheckMhpPairs = Report.Stats.MhpPairs;
         Out.CheckElided = Report.Stats.ElidedSections;
@@ -293,32 +291,19 @@ AnalyzeOutcome IncrementalAnalyzer::analyze(const std::string &Unit,
 
   obs::PhaseScope RenderScope(Tel, obs::ReqPhase::Render);
 
-  // Assemble the report — the exact shape of Compilation::report().
+  // Assemble the report with Compilation::report()'s own trailer.
   Out.Report = ir::printIrModule(Module, [&](uint32_t SectionId) {
     const auto &Text = Found.LocksText[SectionId];
     return Text ? *Text : std::string();
   });
-  char Line[64];
   LockCensus Census;
-  for (uint32_t Id = 0; Id < NumSections; ++Id) {
-    Out.Report += "; section #";
-    std::snprintf(Line, sizeof(Line), "%u", Id);
-    Out.Report += Line;
-    Out.Report += " in ";
-    Out.Report += SectionFunctions[Id] ? SectionFunctions[Id]->name()
-                                       : std::string("?");
-    Out.Report += ": ";
-    if (Found.LocksText[Id])
-      Out.Report += *Found.LocksText[Id];
-    Out.Report += "\n";
-    Census += Found.Censuses[Id];
-  }
-  std::snprintf(Line, sizeof(Line),
-                "fine-ro=%u fine-rw=%u coarse-ro=%u coarse-rw=%u\n",
-                Census.FineRO, Census.FineRW, Census.CoarseRO,
-                Census.CoarseRW);
-  Out.Report += "; locks: ";
-  Out.Report += Line;
+  for (const LockCensus &C : Found.Censuses)
+    Census += C;
+  appendReportTrailer(Out.Report, SectionFunctions, Census,
+                      [&](uint32_t Id, std::string &Text) {
+                        if (Found.LocksText[Id])
+                          Text += *Found.LocksText[Id];
+                      });
 
   // Publish the new snapshot.
   {

@@ -41,9 +41,9 @@
 #include "infer/SummaryCache.h"
 #include "interp/Interp.h"
 #include "obs/RequestTelemetry.h"
+#include "service/Json.h"
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -78,8 +78,8 @@ struct AnalyzeParams {
   bool InjectYields = false;
   uint64_t YieldSeed = 1;
   /// Cooperative cancellation: checked between pipeline phases and
-  /// between re-analysis batches. Zero time_point = no deadline.
-  std::chrono::steady_clock::time_point Deadline{};
+  /// between re-analysis batches. An obs::nowNs() time; 0 = no deadline.
+  uint64_t DeadlineNs = 0;
   /// Request-scoped telemetry carrier (null = untelemetered). The
   /// analyzer brackets its pipeline stages (parse, fingerprint, analyze,
   /// render) with PhaseScopes on this context; the server rolls the
@@ -117,7 +117,7 @@ struct AnalyzeOutcome {
   /// Checker results when AnalyzeParams::Check was set.
   bool Checked = false;        ///< the checker actually ran this request
   bool CheckCacheHit = false;  ///< served from the per-unit check cache
-  std::string CheckJson;       ///< CheckReport::json(unit)
+  Json CheckJson;              ///< CheckReport::toJson(unit)
   unsigned CheckFindings = 0;
   uint64_t CheckMhpPairs = 0;
   unsigned CheckElided = 0;
@@ -171,7 +171,7 @@ private:
   /// elision flag) is unchanged.
   struct CheckEntry {
     uint64_t Fingerprint = 0;
-    std::string Json;
+    Json Report;
     unsigned Findings = 0;
     uint64_t MhpPairs = 0;
     unsigned Elided = 0;

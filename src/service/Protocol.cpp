@@ -177,8 +177,6 @@ bool lockin::service::writeJson(int Fd, const Json &Message,
 }
 
 Json lockin::service::errorResponse(std::string_view Message) {
-  Json R = Json::object();
-  R.set("ok", Json::boolean(false));
-  R.set("error", Json::string(std::string(Message)));
-  return R;
+  return Json::object({{"ok", Json::boolean(false)},
+                       {"error", Json::string(std::string(Message))}});
 }

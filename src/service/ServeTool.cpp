@@ -15,7 +15,6 @@
 #include "service/Server.h"
 
 #include <cstdio>
-#include <fstream>
 
 using namespace lockin;
 
@@ -80,16 +79,10 @@ int tool::runServe(const cli::CliOptions &Opts) {
         .event(obs::LogLevel::Info, "service.drained")
         .num("requests_served", Server.requestsServed());
   }
-  if (!Opts.FlightRecordOut.empty()) {
-    std::ofstream Out(Opts.FlightRecordOut);
-    if (!Out) {
-      std::fprintf(stderr, "error: cannot write %s\n",
-                   Opts.FlightRecordOut.c_str());
-      Rc = 1;
-    } else {
-      Server.flightRecorder().writeJson(Out);
-    }
-  }
+  if (!Opts.FlightRecordOut.empty() &&
+      !support::writeJsonFile(Opts.FlightRecordOut,
+                              Server.flightRecorder().toJson()))
+    Rc = 1;
   if (int DrainRc = drainObsOutputs(Opts))
     Rc = DrainRc;
 

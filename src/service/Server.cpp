@@ -50,9 +50,24 @@ void closeFd(int &Fd) {
   }
 }
 
+/// Sets every member of the object \p From on \p To, in order.
+void appendMembers(Json &To, const Json &From) {
+  for (const auto &[Name, Value] : From.members())
+    To.set(Name, Value);
+}
+
+/// Counts a request as service.requests.<op> for the ops the server
+/// answers; any other op string counts as "unknown" (an empty one as
+/// "bad"), so clients cannot grow the registry by inventing ops.
 void countOp(const std::string &Op) {
-  obs::metrics().counter("service.requests." + (Op.empty() ? "bad" : Op))
-      .inc();
+  static const char *const Known[] = {
+      "analyze", "check", "ping", "stats", "metrics", "flightrecord",
+      "debug/flightrecord", "invalidate", "shutdown"};
+  const char *Name = Op.empty() ? "bad" : "unknown";
+  for (const char *K : Known)
+    if (Op == K)
+      Name = K;
+  obs::metrics().counter(std::string("service.requests.") + Name).inc();
 }
 
 } // namespace
@@ -175,7 +190,7 @@ bool Server::start(std::string &Err) {
     Loops.push_back(std::move(L));
   }
 
-  StartTime = std::chrono::steady_clock::now();
+  StartNs = obs::nowNs();
   unsigned NumWorkers = Opts.Workers ? Opts.Workers : 1;
   Workers.reserve(NumWorkers);
   for (unsigned I = 0; I < NumWorkers; ++I)
@@ -345,12 +360,9 @@ void Server::onResponseDone(std::unique_ptr<obs::RequestContext> Ctx,
 
 Json Server::dispatchInline(const Json &Request, bool &IsShutdown) {
   std::string Op = Request.getString("op", "");
-  if (Op == "ping") {
-    Json R = Json::object();
-    R.set("ok", Json::boolean(true));
-    R.set("pong", Json::boolean(true));
-    return R;
-  }
+  if (Op == "ping")
+    return Json::object(
+        {{"ok", Json::boolean(true)}, {"pong", Json::boolean(true)}});
   if (Op == "stats")
     return handleStats();
   if (Op == "metrics")
@@ -361,10 +373,8 @@ Json Server::dispatchInline(const Json &Request, bool &IsShutdown) {
     return handleInvalidate(Request);
   if (Op == "shutdown") {
     IsShutdown = true;
-    Json R = Json::object();
-    R.set("ok", Json::boolean(true));
-    R.set("draining", Json::boolean(true));
-    return R;
+    return Json::object(
+        {{"ok", Json::boolean(true)}, {"draining", Json::boolean(true)}});
   }
   return errorResponse("unknown op: " + Op);
 }
@@ -395,10 +405,10 @@ void Server::submitAnalyze(Json Request, const std::string &Peer,
   // "check" is analyze + the concurrency checker: same queue, same
   // worker path, same backpressure; handleAnalyze reads the op back out
   // of the request to set AnalyzeParams::Check.
-  auto Deadline = std::chrono::steady_clock::time_point{};
-  if (Opts.RequestTimeoutMs)
-    Deadline = std::chrono::steady_clock::now() +
-               std::chrono::milliseconds(Opts.RequestTimeoutMs);
+  uint64_t DeadlineNs =
+      Opts.RequestTimeoutMs
+          ? obs::nowNs() + uint64_t(Opts.RequestTimeoutMs) * 1'000'000ull
+          : 0;
 
   std::unique_ptr<obs::RequestContext> Ctx;
   if (telemetryOn()) {
@@ -433,7 +443,7 @@ void Server::submitAnalyze(Json Request, const std::string &Peer,
         ++TenantInflight[Tenant];
       Job J;
       J.Request = std::move(Request);
-      J.Deadline = Deadline;
+      J.DeadlineNs = DeadlineNs;
       J.Tenant = std::move(Tenant);
       if (Ctx)
         Ctx->begin(obs::ReqPhase::Queue);
@@ -495,9 +505,7 @@ void Server::workerLoop() {
       J.Ctx->end(obs::ReqPhase::Queue);
 
     Json Response;
-    bool Shed =
-        J.Deadline != std::chrono::steady_clock::time_point{} &&
-        std::chrono::steady_clock::now() > J.Deadline;
+    bool Shed = J.DeadlineNs && obs::nowNs() > J.DeadlineNs;
     if (Shed) {
       // Deadline already blown while queued: shed before burning a
       // worker on an answer the client has given up on.
@@ -522,7 +530,7 @@ void Server::workerLoop() {
       }
     } else {
       uint64_t T0 = obs::nowNs();
-      Response = handleAnalyze(J.Request, J.Deadline, J.Ctx.get());
+      Response = handleAnalyze(J.Request, J.DeadlineNs, J.Ctx.get());
       uint64_t Dur = obs::nowNs() - T0;
       obs::metrics().histogram("service.analyze_ns").record(Dur);
       obs::tracer().span(obs::EventKind::PassSpan, T0, Dur,
@@ -545,8 +553,7 @@ void Server::workerLoop() {
   }
 }
 
-Json Server::handleAnalyze(const Json &Request,
-                           std::chrono::steady_clock::time_point Deadline,
+Json Server::handleAnalyze(const Json &Request, uint64_t DeadlineNs,
                            obs::RequestContext *Ctx) {
   auto Fail = [&](const std::string &Msg) {
     if (Ctx)
@@ -571,7 +578,7 @@ Json Server::handleAnalyze(const Json &Request,
   Params.ElideNeverParallel = Request.getBool("elideNeverParallel", false);
   Params.InjectYields = Request.getBool("injectYields", false);
   Params.YieldSeed = Request.getUint("yieldSeed", 1);
-  Params.Deadline = Deadline;
+  Params.DeadlineNs = DeadlineNs;
   Params.Telemetry = Ctx;
   std::string ModeText = Request.getString("mode", "inferred");
   if (!parseAtomicMode(ModeText, Params.RunMode))
@@ -615,29 +622,21 @@ Json Server::handleAnalyze(const Json &Request,
   R.set("sections", Json::integer(Out.Sections));
   R.set("cacheHits", Json::integer(Out.CacheHits));
   R.set("cacheMisses", Json::integer(Out.CacheMisses));
-  Json Reanalyzed = Json::array();
+  Json &Reanalyzed = R.set("reanalyzed", Json::array());
   for (uint32_t Id : Out.Reanalyzed)
     Reanalyzed.push(Json::integer(Id));
-  R.set("reanalyzed", std::move(Reanalyzed));
   R.set("hadSnapshot", Json::boolean(Out.HadSnapshot));
   if (Out.HadSnapshot) {
     R.set("dirtyFunctions", Json::integer(Out.DirtyFunctions));
     R.set("dirtySccs", Json::integer(Out.DirtySccs));
-    Json Cone = Json::array();
+    Json &Cone = R.set("dirtyConeSections", Json::array());
     for (uint32_t Id : Out.DirtyConeSections)
       Cone.push(Json::integer(Id));
-    R.set("dirtyConeSections", std::move(Cone));
   }
   if (Out.Checked || Out.CheckCacheHit) {
     // The report is embedded as a JSON object (not a string) so clients
-    // consume it structurally; it was rendered by CheckReport::json and
-    // always round-trips.
-    Json CheckJson;
-    std::string ParseErr;
-    if (Json::parse(Out.CheckJson, CheckJson, ParseErr))
-      R.set("check", std::move(CheckJson));
-    else
-      R.set("check", Json::string(Out.CheckJson));
+    // consume it structurally.
+    R.set("check", std::move(Out.CheckJson));
     R.set("checkCached", Json::boolean(Out.CheckCacheHit));
     obs::metrics().counter("check.reports").add(Out.Checked ? 1 : 0);
     obs::metrics().counter("check.mhp_pairs").add(Out.CheckMhpPairs);
@@ -660,57 +659,41 @@ Json Server::handleAnalyze(const Json &Request,
 
 Json Server::handleStats() {
   SummaryCache::Stats S = Cache.stats();
-  Json CacheJson = Json::object();
-  CacheJson.set("hits", Json::integer(static_cast<int64_t>(S.Hits)));
-  CacheJson.set("misses", Json::integer(static_cast<int64_t>(S.Misses)));
-  CacheJson.set("insertions",
-                Json::integer(static_cast<int64_t>(S.Insertions)));
-  CacheJson.set("evictions",
-                Json::integer(static_cast<int64_t>(S.Evictions)));
-  CacheJson.set("invalidations",
-                Json::integer(static_cast<int64_t>(S.Invalidations)));
-  CacheJson.set("entries", Json::integer(static_cast<int64_t>(S.Entries)));
-  CacheJson.set("capacity", Json::integer(static_cast<int64_t>(S.Capacity)));
-  CacheJson.set("shards",
-                Json::integer(static_cast<int64_t>(Cache.numShards())));
-
-  Json R = Json::object();
-  R.set("ok", Json::boolean(true));
-  R.set("cache", std::move(CacheJson));
-  R.set("units", Json::integer(static_cast<int64_t>(Analyzer.numUnits())));
-  R.set("resubmitsServed",
-        Json::integer(static_cast<int64_t>(Analyzer.resubmitsServed())));
-  R.set("requestsServed",
-        Json::integer(static_cast<int64_t>(requestsServed())));
-  R.set("workers", Json::integer(Opts.Workers));
-  R.set("queueDepth", Json::integer(Opts.QueueDepth));
-  R.set("eventLoops",
-        Json::integer(static_cast<int64_t>(Loops.size())));
-  R.set("maxInflight", Json::integer(Opts.MaxInflight));
-  R.set("tenantQuota", Json::integer(Opts.TenantQuota));
-  R.set("inflight",
-        Json::integer(Inflight.load(std::memory_order_relaxed)));
-  auto Uptime = std::chrono::duration_cast<std::chrono::milliseconds>(
-      std::chrono::steady_clock::now() - StartTime);
-  R.set("uptimeMs", Json::integer(Uptime.count()));
-  return R;
+  return Json::object(
+      {{"ok", Json::boolean(true)},
+       {"cache", Json::object({{"hits", Json::uinteger(S.Hits)},
+                               {"misses", Json::uinteger(S.Misses)},
+                               {"insertions", Json::uinteger(S.Insertions)},
+                               {"evictions", Json::uinteger(S.Evictions)},
+                               {"invalidations",
+                                Json::uinteger(S.Invalidations)},
+                               {"entries", Json::uinteger(S.Entries)},
+                               {"capacity", Json::uinteger(S.Capacity)},
+                               {"shards", Json::uinteger(Cache.numShards())}})},
+       {"units", Json::uinteger(Analyzer.numUnits())},
+       {"resubmitsServed", Json::uinteger(Analyzer.resubmitsServed())},
+       {"requestsServed", Json::uinteger(requestsServed())},
+       {"workers", Json::integer(Opts.Workers)},
+       {"queueDepth", Json::integer(Opts.QueueDepth)},
+       {"eventLoops", Json::uinteger(Loops.size())},
+       {"maxInflight", Json::integer(Opts.MaxInflight)},
+       {"tenantQuota", Json::integer(Opts.TenantQuota)},
+       {"inflight", Json::integer(Inflight.load(std::memory_order_relaxed))},
+       {"uptimeMs", Json::uinteger((obs::nowNs() - StartNs) / 1'000'000ull)}});
 }
 
 Json Server::handleInvalidate(const Json &Request) {
-  Json R = Json::object();
   obs::metrics().counter("service.invalidations").inc();
   std::string Unit = Request.getString("unit", "");
   if (Unit.empty()) {
     Analyzer.invalidateAll();
-    R.set("ok", Json::boolean(true));
-    R.set("scope", Json::string("all"));
-    return R;
+    return Json::object(
+        {{"ok", Json::boolean(true)}, {"scope", Json::string("all")}});
   }
   bool Known = Analyzer.invalidateUnit(Unit);
-  R.set("ok", Json::boolean(true));
-  R.set("scope", Json::string("unit"));
-  R.set("known", Json::boolean(Known));
-  return R;
+  return Json::object({{"ok", Json::boolean(true)},
+                       {"scope", Json::string("unit")},
+                       {"known", Json::boolean(Known)}});
 }
 
 void Server::finalizeRequest(std::unique_ptr<obs::RequestContext> Ctx,
@@ -801,26 +784,7 @@ Json Server::handleMetrics() {
   std::ostringstream Prom;
   obs::metrics().writePrometheus(Prom);
   R.set("prometheus", Json::string(Prom.str()));
-  Json Counters = Json::object();
-  obs::metrics().forEachCounter(
-      [&](const std::string &Name, const obs::Counter &C) {
-        Counters.set(Name, Json::integer(static_cast<int64_t>(C.value())));
-      });
-  R.set("counters", std::move(Counters));
-  // Quantile summaries so clients (bench_service, dashboards) don't have
-  // to re-derive them from the bucket series.
-  Json Hists = Json::object();
-  obs::metrics().forEachHistogram(
-      [&](const std::string &Name, const obs::Histogram &H) {
-        Json O = Json::object();
-        O.set("count", Json::integer(static_cast<int64_t>(H.count())));
-        O.set("sum", Json::integer(static_cast<int64_t>(H.sum())));
-        O.set("p50", Json::integer(static_cast<int64_t>(H.quantile(0.50))));
-        O.set("p95", Json::integer(static_cast<int64_t>(H.quantile(0.95))));
-        O.set("p99", Json::integer(static_cast<int64_t>(H.quantile(0.99))));
-        Hists.set(Name, std::move(O));
-      });
-  R.set("histograms", std::move(Hists));
+  appendMembers(R, obs::metrics().toJson());
   R.set("telemetry", Json::boolean(telemetryOn()));
   return R;
 }
@@ -829,29 +793,6 @@ Json Server::handleFlightRecord() {
   Json R = Json::object();
   R.set("ok", Json::boolean(true));
   R.set("telemetry", Json::boolean(telemetryOn()));
-  R.set("capacity", Json::integer(static_cast<int64_t>(Flight.capacity())));
-  R.set("recorded", Json::integer(static_cast<int64_t>(Flight.recorded())));
-  Json Records = Json::array();
-  for (const obs::FlightRecord &Rec : Flight.snapshot()) {
-    Json O = Json::object();
-    O.set("id", Json::integer(static_cast<int64_t>(Rec.Id)));
-    O.set("op", Json::string(Rec.Op));
-    O.set("unit", Json::string(Rec.Unit));
-    O.set("peer", Json::string(Rec.Peer));
-    O.set("outcome", Json::string(Rec.Outcome));
-    O.set("start_ns", Json::integer(static_cast<int64_t>(Rec.StartNs)));
-    O.set("total_ns", Json::integer(static_cast<int64_t>(Rec.TotalNs)));
-    Json Phases = Json::object();
-    for (unsigned I = 0; I < obs::kNumReqPhases; ++I)
-      Phases.set(obs::reqPhaseName(static_cast<obs::ReqPhase>(I)),
-                 Json::integer(static_cast<int64_t>(Rec.PhaseNs[I])));
-    O.set("phases_ns", std::move(Phases));
-    O.set("cache_hits", Json::integer(Rec.CacheHits));
-    O.set("cache_misses", Json::integer(Rec.CacheMisses));
-    O.set("dirty_cone", Json::integer(Rec.DirtyCone));
-    O.set("sections", Json::integer(Rec.Sections));
-    Records.push(std::move(O));
-  }
-  R.set("records", std::move(Records));
+  appendMembers(R, Flight.toJson());
   return R;
 }

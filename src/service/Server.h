@@ -162,7 +162,7 @@ private:
 
   struct Job {
     Json Request;
-    std::chrono::steady_clock::time_point Deadline{};
+    uint64_t DeadlineNs = 0; ///< obs::nowNs() time; 0 = no deadline
     std::string Tenant;
     ReplyTo Reply;
     /// Telemetry carrier; null when telemetry is off. Travels with the
@@ -179,8 +179,7 @@ private:
                     std::unique_ptr<obs::RequestContext> Ctx);
   /// Every op except analyze/check, answered on the calling thread.
   Json dispatchInline(const Json &Request, bool &IsShutdown);
-  Json handleAnalyze(const Json &Request,
-                     std::chrono::steady_clock::time_point Deadline,
+  Json handleAnalyze(const Json &Request, uint64_t DeadlineNs,
                      obs::RequestContext *Ctx);
   Json handleStats();
   Json handleInvalidate(const Json &Request);
@@ -230,7 +229,7 @@ private:
   std::vector<std::unique_ptr<EventLoop>> Loops;
   size_t NextLoopIdx = 0; ///< accept thread only
 
-  std::chrono::steady_clock::time_point StartTime;
+  uint64_t StartNs = 0; ///< obs::nowNs() at start(); uptime origin
 };
 
 /// Parses "none" / "global" / "inferred"; false on anything else.

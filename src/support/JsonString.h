@@ -5,13 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one JSON string escaper every writer uses: checker reports, the
-/// structured log, the flight recorder, Chrome traces and the service
-/// protocol. Quotes and backslashes are escaped; \n \r \t \b \f use their
+/// The one JSON string escaper: Json::write (support/Json.h) uses it for
+/// every document the tools emit, and the structured log for its lines.
+/// Quotes and backslashes are escaped; \n \r \t \b \f use their
 /// short forms; other control characters become \u00XX; every other byte
 /// (UTF-8 included) is copied as is.
 ///
-/// The escaper and the service's JSON parser share one scan that tests 8
+/// The escaper and the JSON parser share one scan that tests 8
 /// bytes per step for the bytes a JSON string cannot hold as is, so a
 /// run of plain bytes is copied with one memcpy.
 ///

@@ -904,7 +904,8 @@ std::string lockin::workloads::generateSyntheticSpec(unsigned TargetKloc,
   }
   // Shared globals the functions traffic through.
   for (unsigned G = 0; G < NumStructs; ++G) {
-    Out += "S" + std::to_string(G) + "* g" + std::to_string(G) + ";\n";
+    Out += 'S';
+    Out += std::to_string(G) + "* g" + std::to_string(G) + ";\n";
   }
   Out += "int gcounter;\n\n";
 
@@ -919,9 +920,9 @@ std::string lockin::workloads::generateSyntheticSpec(unsigned TargetKloc,
   for (unsigned F = 0; F < NumFuncs; ++F) {
     unsigned SIn = static_cast<unsigned>(R.below(NumStructs));
     FuncStruct[F] = SIn;
-    std::string SName = "S" + std::to_string(SIn);
-    std::string LName = "S" + std::to_string(SIn == 0 ? 0 : SIn - 1);
-    std::string FName = "f" + std::to_string(F);
+    std::string SName = 'S' + std::to_string(SIn);
+    std::string LName = 'S' + std::to_string(SIn == 0 ? 0 : SIn - 1);
+    std::string FName = 'f' + std::to_string(F);
     Out += SName + "* " + FName + "(" + SName + "* p, int n) {\n";
     Out += "  " + SName + "* cur = p;\n";
     Out += "  int i = 0;\n";

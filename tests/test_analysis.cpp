@@ -76,8 +76,9 @@ TEST(CallGraph, ChainSccsAreSingletonsInReverseTopologicalOrder) {
   // The defining property: every cross-SCC call edge goes to a lower id.
   for (unsigned F = 0; F < CG.numFunctions(); ++F)
     for (unsigned Callee : CG.callees(F))
-      if (CG.sccOf(F) != CG.sccOf(Callee))
+      if (CG.sccOf(F) != CG.sccOf(Callee)) {
         EXPECT_LT(CG.sccOf(Callee), CG.sccOf(F));
+      }
   // Concretely: c before b before a before main.
   EXPECT_LT(CG.sccOfFunction(fn(*C, "c")), CG.sccOfFunction(fn(*C, "b")));
   EXPECT_LT(CG.sccOfFunction(fn(*C, "b")), CG.sccOfFunction(fn(*C, "a")));

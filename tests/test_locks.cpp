@@ -220,7 +220,7 @@ TEST_F(LockDomainTest, LockSetStorageOrderPastFortyLocks) {
         continue;
       }
       if (L.isCoarse())
-        Out += "C" + std::to_string(L.region() - R);
+        Out += 'C' + std::to_string(L.region() - R);
       for (unsigned I = 0; I <= N && L.isFine(); ++I)
         if (L.sameLockIgnoringEffect(Fine[I]))
           Out += std::to_string(I);

@@ -6,10 +6,10 @@
 ///
 /// \file
 /// Covers the obs layer: ring-buffer wrap/drop accounting, log₂ histogram
-/// bucket boundaries, metrics/trace JSON well-formedness (parsed back with
-/// a minimal JSON reader), a multi-thread write-join-drain (the pattern
-/// the TSan job exercises), and a contended two-thread runtime scenario
-/// asserting the profiler sees real contention.
+/// bucket boundaries, metrics/trace/flight-record documents (parsed back
+/// with support::Json and checked member by member), a multi-thread
+/// write-join-drain (the pattern the TSan job exercises), and a contended
+/// two-thread runtime scenario asserting the profiler sees real contention.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,12 +20,11 @@
 #include "obs/RequestTelemetry.h"
 #include "obs/Trace.h"
 #include "runtime/LockRuntime.h"
-#include "service/Json.h"
+#include "support/Json.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cctype>
 #include <chrono>
 #include <cstring>
 #include <sstream>
@@ -42,130 +41,26 @@ using lockin::rt::ThreadLockContext;
 
 namespace {
 
-/// Minimal JSON well-formedness checker: accepts exactly the grammar the
-/// exporters emit (objects, arrays, strings with escapes, numbers incl.
-/// floats, true/false/null). Returns true iff the whole input parses.
-class JsonChecker {
-public:
-  explicit JsonChecker(std::string_view Text) : S(Text) {}
+using support::Json;
 
-  bool valid() {
-    skipWs();
-    if (!value())
-      return false;
-    skipWs();
-    return Pos == S.size();
-  }
+/// \p Text parsed as one JSON document; a test failure if it is not one.
+Json parseDoc(const std::string &Text) {
+  Json Doc;
+  std::string Err;
+  EXPECT_TRUE(Json::parse(Text, Doc, Err)) << Err << "\n" << Text;
+  return Doc;
+}
 
-private:
-  std::string_view S;
-  size_t Pos = 0;
-
-  void skipWs() {
-    while (Pos < S.size() && std::isspace(static_cast<unsigned char>(S[Pos])))
-      ++Pos;
-  }
-  bool eat(char C) {
-    if (Pos < S.size() && S[Pos] == C) {
-      ++Pos;
-      return true;
-    }
-    return false;
-  }
-  bool literal(std::string_view L) {
-    if (S.substr(Pos, L.size()) != L)
-      return false;
-    Pos += L.size();
-    return true;
-  }
-  bool string() {
-    if (!eat('"'))
-      return false;
-    while (Pos < S.size()) {
-      char C = S[Pos++];
-      if (C == '"')
-        return true;
-      if (C == '\\') {
-        if (Pos >= S.size())
-          return false;
-        char E = S[Pos++];
-        if (E == 'u') {
-          for (int I = 0; I < 4; ++I)
-            if (Pos >= S.size() ||
-                !std::isxdigit(static_cast<unsigned char>(S[Pos++])))
-              return false;
-        }
-      }
-    }
-    return false;
-  }
-  bool number() {
-    size_t Start = Pos;
-    if (Pos < S.size() && S[Pos] == '-')
-      ++Pos;
-    while (Pos < S.size() &&
-           (std::isdigit(static_cast<unsigned char>(S[Pos])) ||
-            S[Pos] == '.' || S[Pos] == 'e' || S[Pos] == 'E' ||
-            S[Pos] == '+' || S[Pos] == '-'))
-      ++Pos;
-    return Pos > Start;
-  }
-  bool value() {
-    skipWs();
-    if (Pos >= S.size())
-      return false;
-    char C = S[Pos];
-    if (C == '{')
-      return object();
-    if (C == '[')
-      return array();
-    if (C == '"')
-      return string();
-    if (C == 't')
-      return literal("true");
-    if (C == 'f')
-      return literal("false");
-    if (C == 'n')
-      return literal("null");
-    return number();
-  }
-  bool object() {
-    eat('{');
-    skipWs();
-    if (eat('}'))
-      return true;
-    while (true) {
-      skipWs();
-      if (!string())
-        return false;
-      skipWs();
-      if (!eat(':'))
-        return false;
-      if (!value())
-        return false;
-      skipWs();
-      if (eat('}'))
-        return true;
-      if (!eat(','))
-        return false;
-    }
-  }
-  bool array() {
-    eat('[');
-    skipWs();
-    if (eat(']'))
-      return true;
-    while (true) {
-      if (!value())
-        return false;
-      skipWs();
-      if (eat(']'))
-        return true;
-      if (!eat(','))
-        return false;
-    }
-  }
-};
+/// The trace events named \p Name.
+std::vector<const Json *> eventsNamed(const Json &Trace,
+                                      const std::string &Name) {
+  std::vector<const Json *> Out;
+  if (const Json *Events = Trace.get("traceEvents"))
+    for (const Json &E : Events->items())
+      if (E.getString("name") == Name)
+        Out.push_back(&E);
+  return Out;
+}
 
 TEST(Histogram, BucketBoundaries) {
   // bucket 0 = {0}, bucket i = [2^(i-1), 2^i) for i >= 1.
@@ -237,17 +132,38 @@ TEST(MetricsRegistry, HandlesAndJson) {
   H.record(3);
   H.record(300);
 
-  std::ostringstream OS;
-  R.writeJson(OS);
-  std::string Json = OS.str();
-  EXPECT_TRUE(JsonChecker(Json).valid()) << Json;
-  EXPECT_NE(Json.find("\"runtime.test_counter\": 42"), std::string::npos);
-  EXPECT_NE(Json.find("\"runtime.test_hist\""), std::string::npos);
-  EXPECT_NE(Json.find("\"buckets\""), std::string::npos);
+  Json Doc = parseDoc(R.toJson().str());
+  const Json *Counters = Doc.get("counters");
+  ASSERT_NE(Counters, nullptr);
+  EXPECT_EQ(Counters->getInt("runtime.test_counter", -1), 42);
+  const Json *Hists = Doc.get("histograms");
+  ASSERT_NE(Hists, nullptr);
+  const Json *Hist = Hists->get("runtime.test_hist");
+  ASSERT_NE(Hist, nullptr);
+  EXPECT_EQ(Hist->getInt("count"), 2);
+  EXPECT_EQ(Hist->getInt("sum"), 303);
+  for (const char *Q : {"p50", "p95", "p99"})
+    EXPECT_TRUE(Hist->get(Q) && Hist->get(Q)->isNumber()) << Q;
+  // Sparse [le, count] pairs: 3 lands in [2, 3], 300 in [256, 511].
+  ASSERT_NE(Hist->get("buckets"), nullptr);
+  EXPECT_EQ(Hist->get("buckets")->str(), "[[3,1],[511,1]]");
 
   R.reset();
   EXPECT_EQ(C.value(), 0u);
   EXPECT_EQ(H.count(), 0u);
+}
+
+TEST(MetricsRegistry, JsonEscapesNames) {
+  MetricsRegistry R;
+  R.counter("a\"b\\c").add(3);
+  R.histogram("h\n\"").record(5);
+  Json Doc = parseDoc(R.toJson().str());
+  ASSERT_NE(Doc.get("counters"), nullptr);
+  EXPECT_EQ(Doc.get("counters")->getInt("a\"b\\c", -1), 3);
+  ASSERT_NE(Doc.get("histograms"), nullptr);
+  const Json *Hist = Doc.get("histograms")->get("h\n\"");
+  ASSERT_NE(Hist, nullptr);
+  EXPECT_EQ(Hist->getInt("count"), 1);
 }
 
 TEST(TraceRing, WrapAndDropAccounting) {
@@ -295,18 +211,40 @@ TEST(Tracer, ChromeJsonParsesBack) {
 
   std::ostringstream OS;
   T.writeChromeJson(OS);
-  std::string Json = OS.str();
-  EXPECT_TRUE(JsonChecker(Json).valid()) << Json;
-  EXPECT_NE(Json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(Json.find("\"section\""), std::string::npos);
-  EXPECT_NE(Json.find("acquireAll"), std::string::npos);
-  EXPECT_NE(Json.find("lock-wait"), std::string::npos);
-  EXPECT_NE(Json.find("points-to \\\"quoted\\\""), std::string::npos);
-  EXPECT_NE(Json.find("interp-steps"), std::string::npos);
-  EXPECT_NE(Json.find("sim-abort"), std::string::npos);
+  Json Doc = parseDoc(OS.str());
+  // Each event once, with its pid/tid row and args (name and times aside).
+  auto Row = [&](const std::string &Name) {
+    std::vector<const Json *> Found = eventsNamed(Doc, Name);
+    EXPECT_EQ(Found.size(), 1u) << Name;
+    Json Event = Json::object();
+    if (!Found.empty())
+      for (const auto &[Key, Value] : Found[0]->members())
+        if (Key != "name" && Key != "ts" && Key != "dur")
+          Event.set(Key, Value);
+    return Event.str();
+  };
+  EXPECT_EQ(Row("section"),
+            R"({"ph":"X","pid":1,"tid":1,"args":{"section":7}})");
+  EXPECT_EQ(Row("acquireAll"),
+            R"({"ph":"X","pid":1,"tid":1,"args":{"nodes":3}})");
+  EXPECT_EQ(Row("lock-wait"),
+            R"({"ph":"X","pid":1,"tid":1,"args":{"node":2,"mode":"X"}})");
+  // The interned pass name round-trips through the escaper.
+  EXPECT_EQ(Row("points-to \"quoted\""),
+            R"({"ph":"X","pid":1,"tid":1,"args":{}})");
+  EXPECT_EQ(Row("interp-steps"),
+            R"({"ph":"C","pid":1,"tid":1,"args":{"steps":12345}})");
   // Sim events land on the simulated-time process row.
-  EXPECT_NE(Json.find("\"pid\": 2"), std::string::npos);
-  EXPECT_NE(Json.find("\"droppedEvents\": 0"), std::string::npos);
+  EXPECT_EQ(Row("sim-op"), R"({"ph":"X","pid":2,"tid":1,"args":{"op":0}})");
+  EXPECT_EQ(Row("sim-abort"),
+            R"({"ph":"i","s":"t","pid":2,"tid":2,"args":{}})");
+  ASSERT_FALSE(eventsNamed(Doc, "section").empty());
+  const Json *Section = eventsNamed(Doc, "section").front();
+  EXPECT_DOUBLE_EQ(Section->get("ts")->asDouble(), 1.0); // microseconds
+  EXPECT_DOUBLE_EQ(Section->get("dur")->asDouble(), 0.5);
+  EXPECT_EQ(eventsNamed(Doc, "process_name").size(), 3u);
+  ASSERT_NE(Doc.get("droppedEvents"), nullptr);
+  EXPECT_EQ(Doc.getInt("droppedEvents", -1), 0);
 
   T.clear();
   EXPECT_EQ(T.totalWritten(), 0u);
@@ -337,11 +275,10 @@ TEST(Tracer, MultiThreadWriteJoinDrain) {
 
   std::ostringstream OS;
   T.writeChromeJson(OS);
-  std::string Json = OS.str();
-  EXPECT_TRUE(JsonChecker(Json).valid());
-  std::ostringstream Expect;
-  Expect << "\"droppedEvents\": " << NumThreads * (PerThread - Cap);
-  EXPECT_NE(Json.find(Expect.str()), std::string::npos) << Expect.str();
+  Json Doc = parseDoc(OS.str());
+  EXPECT_EQ(Doc.getInt("droppedEvents", -1),
+            static_cast<int64_t>(NumThreads * (PerThread - Cap)));
+  EXPECT_EQ(eventsNamed(Doc, "section").size(), NumThreads * Cap);
 }
 
 TEST(Histogram, PercentileEstimates) {
@@ -430,8 +367,9 @@ TEST(MetricsRegistry, PrometheusBucketsParseBackMonotone) {
       InfCum = Cum;
     } else {
       uint64_t LeV = std::stoull(Le);
-      if (PrevLeSet)
+      if (PrevLeSet) {
         EXPECT_GT(LeV, LastLe) << Line;
+      }
       LastLe = LeV;
       PrevLeSet = true;
     }
@@ -493,7 +431,16 @@ TEST(Log, StructuredLinesAndLevels) {
   std::string Text = readSink(Sink);
   ASSERT_FALSE(Text.empty());
   ASSERT_EQ(Text.back(), '\n');
-  EXPECT_TRUE(JsonChecker(Text.substr(0, Text.size() - 1)).valid()) << Text;
+  Json Doc = parseDoc(Text.substr(0, Text.size() - 1));
+  EXPECT_EQ(Doc.getString("level"), "info");
+  EXPECT_EQ(Doc.getString("event"), "test.event");
+  EXPECT_EQ(Doc.getString("peer"), "unix:\"7\"");
+  EXPECT_EQ(Doc.getInt("req"), 42);
+  EXPECT_EQ(Doc.getInt("delta"), -3);
+  EXPECT_TRUE(Doc.getBool("hit"));
+  EXPECT_TRUE(Doc.get("ts_us") && Doc.get("ts_us")->isNumber());
+  // The line format itself is pinned too: operators and CI grep the log
+  // with spacing-exact patterns.
   EXPECT_NE(Text.find("\"level\": \"info\""), std::string::npos);
   EXPECT_NE(Text.find("\"event\": \"test.event\""), std::string::npos);
   EXPECT_NE(Text.find("\"peer\": \"unix:\\\"7\\\"\""), std::string::npos);
@@ -536,9 +483,9 @@ TEST(Log, EscapedValuesRoundTripThroughJsonParser) {
   ASSERT_EQ(Text.back(), '\n');
   std::string Line = Text.substr(0, Text.size() - 1);
   EXPECT_EQ(Line.find('\n'), std::string::npos) << "raw newline in a line";
-  service::Json Doc;
+  Json Doc;
   std::string Err;
-  ASSERT_TRUE(service::Json::parse(Line, Doc, Err)) << Err << "\n" << Line;
+  ASSERT_TRUE(Json::parse(Line, Doc, Err)) << Err << "\n" << Line;
   EXPECT_EQ(Doc.getString("event", ""), "test.escape\n");
   EXPECT_EQ(Doc.getString(Key, ""), Value);
 
@@ -614,14 +561,23 @@ TEST(FlightRecorderTest, RingWrapOldestFirst) {
   for (size_t I = 0; I < 4; ++I)
     EXPECT_EQ(Snap[I].Id, 3 + I) << "oldest-first after wrap";
 
-  std::ostringstream OS;
-  FR.writeJson(OS);
-  std::string Json = OS.str();
-  EXPECT_TRUE(JsonChecker(Json).valid()) << Json;
-  EXPECT_NE(Json.find("\"capacity\": 4"), std::string::npos);
-  EXPECT_NE(Json.find("\"recorded\": 6"), std::string::npos);
-  EXPECT_NE(Json.find("\"outcome\": \"timeout\""), std::string::npos);
-  EXPECT_NE(Json.find("\"phases_ns\""), std::string::npos);
+  Json Doc = parseDoc(FR.toJson().str());
+  EXPECT_EQ(Doc.getInt("capacity"), 4);
+  EXPECT_EQ(Doc.getInt("recorded"), 6);
+  const Json *Records = Doc.get("records");
+  ASSERT_TRUE(Records && Records->isArray());
+  ASSERT_EQ(Records->items().size(), 4u);
+  bool SawTimeout = false;
+  for (size_t I = 0; I < 4; ++I) {
+    const Json &Rec = Records->items()[I];
+    EXPECT_EQ(Rec.getInt("id"), static_cast<int64_t>(3 + I))
+        << "oldest-first after wrap";
+    SawTimeout |= Rec.getString("outcome") == "timeout";
+    const Json *Phases = Rec.get("phases_ns");
+    ASSERT_TRUE(Phases && Phases->isObject());
+    EXPECT_EQ(Phases->getInt("queue"), Rec.getInt("id"));
+  }
+  EXPECT_TRUE(SawTimeout);
 
   FR.clear();
   EXPECT_EQ(FR.recorded(), 0u);

@@ -182,18 +182,18 @@ std::string pointsToTables(Compilation &C) {
   };
   std::string Out = "globals:";
   for (const auto &G : C.module().globals())
-    Out += " " + Id(PT.regionOfVarCell(G.get()));
+    Out += ' ' + Id(PT.regionOfVarCell(G.get()));
   for (const auto &F : C.module().functions()) {
-    Out += "\n" + F->name() + ":";
+    Out += '\n' + F->name() + ":";
     for (const auto &V : F->variables())
-      Out += " " + Id(PT.regionOfVarCell(V.get()));
+      Out += ' ' + Id(PT.regionOfVarCell(V.get()));
   }
   Out += "\nsites:";
   for (const AllocSite &Site : C.module().allocSites())
-    Out += " " + Id(PT.regionOfAllocSite(Site.Id));
+    Out += ' ' + Id(PT.regionOfAllocSite(Site.Id));
   Out += "\nderef:";
   for (RegionId R = 0; R < PT.numRegions(); ++R)
-    Out += " " + Id(PT.derefRegion(R));
+    Out += ' ' + Id(PT.derefRegion(R));
   return Out + "\n";
 }
 

@@ -137,9 +137,10 @@ TEST_P(BenchmarkInvariants, FineLocksHaveValidRegions) {
       compileOk(toyProgram(GetParam()).Source, /*K=*/9);
   for (const auto &Section : C->inference().sections())
     for (const LockName &L : Section.Locks)
-      if (L.isFine())
+      if (L.isFine()) {
         EXPECT_EQ(evalPathRegion(L.path(), C->pointsTo()), L.region())
             << GetParam() << ": " << L.str();
+      }
 }
 
 TEST_P(BenchmarkInvariants, FineLockPathsRespectKLimit) {
@@ -148,9 +149,10 @@ TEST_P(BenchmarkInvariants, FineLockPathsRespectKLimit) {
         compileOk(toyProgram(GetParam()).Source, K);
     for (const auto &Section : C->inference().sections())
       for (const LockName &L : Section.Locks)
-        if (L.isFine())
+        if (L.isFine()) {
           EXPECT_LE(L.path().size(), K)
               << GetParam() << " k=" << K << ": " << L.str();
+        }
   }
 }
 

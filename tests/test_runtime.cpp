@@ -12,30 +12,15 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <new>
 #include <thread>
 #include <vector>
 
 using namespace lockin;
 using namespace lockin::rt;
 
-// Count every global allocation on this thread so the steady-state test
-// below can assert the acquireAll fast path allocates nothing. Replacing
-// only the scalar operator new is enough: the array and nothrow forms
-// default to calling it.
-namespace {
-thread_local uint64_t GThreadAllocs = 0;
-} // namespace
-
-void *operator new(std::size_t Size) {
-  ++GThreadAllocs;
-  if (void *P = std::malloc(Size))
-    return P;
-  throw std::bad_alloc();
-}
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
+/// Global allocations made by the calling thread so far (AllocCounter.cpp
+/// replaces operator new to count them).
+uint64_t threadAllocations();
 
 namespace {
 
@@ -502,10 +487,10 @@ TEST(Protocol, SteadyStateAcquireAllIsAllocationFree) {
   };
   for (unsigned I = 0; I < 64; ++I)
     Section(I);
-  uint64_t Before = GThreadAllocs;
+  uint64_t Before = threadAllocations();
   for (unsigned I = 0; I < 2048; ++I)
     Section(I);
-  EXPECT_EQ(GThreadAllocs, Before)
+  EXPECT_EQ(threadAllocations(), Before)
       << "steady-state acquireAll/releaseAll allocated";
 }
 

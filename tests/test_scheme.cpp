@@ -65,16 +65,18 @@ protected:
                                  << " vs " << S.str(B);
         EXPECT_TRUE(S.leq(B, J));
         EXPECT_EQ(S.join(A, B), S.join(B, A)) << "commutativity";
-        if (S.leq(A, B) && S.leq(B, A))
+        if (S.leq(A, B) && S.leq(B, A)) {
           EXPECT_EQ(S.join(A, B), S.join(B, B)) << "antisymmetry-ish";
+        }
       }
     }
     // Transitivity on sampled triples.
     for (auto A : Locks)
       for (auto B : Locks)
         for (auto D : Locks)
-          if (S.leq(A, B) && S.leq(B, D))
+          if (S.leq(A, B) && S.leq(B, D)) {
             EXPECT_TRUE(S.leq(A, D)) << "transitivity";
+          }
   }
 
   std::unique_ptr<Compilation> C;

@@ -234,7 +234,7 @@ TEST(JsonKernel, RawControlBytesAreRejectedInWordsAndTail) {
   for (size_t Len = 1; Len <= 24; ++Len)
     for (size_t Off = 0; Off < Len && Off < 18; ++Off)
       for (char C : {'\x00', '\x01', '\n', '\x1f'}) {
-        std::string Text = "\"" + std::string(Len, 'a') + "\"";
+        std::string Text = '"' + std::string(Len, 'a') + "\"";
         Text[1 + Off] = C;
         ASSERT_EQ(parseError(Text), "raw control character in string")
             << "byte " << int(C) << " at " << Off << " of " << Len;
@@ -243,7 +243,7 @@ TEST(JsonKernel, RawControlBytesAreRejectedInWordsAndTail) {
 
 TEST(JsonKernel, UnterminatedStringsFailAtEveryLength) {
   for (size_t Len = 0; Len <= 17; ++Len) {
-    std::string Open = "\"" + std::string(Len, 'a');
+    std::string Open = '"' + std::string(Len, 'a');
     EXPECT_EQ(parseError(Open), "unterminated string") << Len;
     EXPECT_EQ(parseError(Open + "\\n"), "unterminated string") << Len;
     EXPECT_EQ(parseError(Open + "\\"), "unterminated escape") << Len;
@@ -602,7 +602,7 @@ TEST(Incremental, CheckRunsColdServesWarmFromReportCache) {
   ASSERT_TRUE(Cold.Ok) << Cold.Error;
   EXPECT_TRUE(Cold.Checked);
   EXPECT_FALSE(Cold.CheckCacheHit);
-  EXPECT_FALSE(Cold.CheckJson.empty());
+  EXPECT_TRUE(Cold.CheckJson.isObject());
   EXPECT_GT(Cold.CheckMhpPairs, 0u);
 
   // Warm, unchanged module: the cached report is served verbatim without
@@ -611,7 +611,7 @@ TEST(Incremental, CheckRunsColdServesWarmFromReportCache) {
   ASSERT_TRUE(Warm.Ok) << Warm.Error;
   EXPECT_FALSE(Warm.Checked);
   EXPECT_TRUE(Warm.CheckCacheHit);
-  EXPECT_EQ(Warm.CheckJson, Cold.CheckJson);
+  EXPECT_EQ(Warm.CheckJson.str(), Cold.CheckJson.str());
   EXPECT_EQ(Warm.CheckFindings, Cold.CheckFindings);
   EXPECT_EQ(Warm.CheckMhpPairs, Cold.CheckMhpPairs);
 
@@ -1247,18 +1247,14 @@ struct RunningServer {
 };
 
 Json analyzeRequest(const std::string &Unit, const std::string &Source) {
-  Json R = Json::object();
-  R.set("op", Json::string("analyze"));
-  R.set("unit", Json::string(Unit));
-  R.set("source", Json::string(Source));
-  R.set("jobs", Json::integer(1));
-  return R;
+  return Json::object({{"op", Json::string("analyze")},
+                       {"unit", Json::string(Unit)},
+                       {"source", Json::string(Source)},
+                       {"jobs", Json::integer(1)}});
 }
 
 Json opRequest(const char *Op) {
-  Json R = Json::object();
-  R.set("op", Json::string(Op));
-  return R;
+  return Json::object({{"op", Json::string(Op)}});
 }
 
 TEST(Server, EndToEndColdWarmInvalidate) {
@@ -1534,7 +1530,7 @@ TEST(Server, SigtermDrainsWithZeroDroppedRequests) {
       ASSERT_TRUE(C.connectUnix(Path, CErr)) << CErr;
       Json Resp;
       ASSERT_TRUE(C.call(
-          analyzeRequest("s" + std::to_string(I) + ".atom", Slow), Resp,
+          analyzeRequest('s' + std::to_string(I) + ".atom", Slow), Resp,
           CErr))
           << CErr;
       EXPECT_TRUE(Resp.getBool("ok", false))
@@ -1603,6 +1599,104 @@ TEST(Server, MetricsOpServesLivePrometheus) {
     EXPECT_GT(Total->getUint("p50", 0), 0u);
     EXPECT_GE(Total->getUint("p99", 0), Total->getUint("p50", 0));
   }
+
+  // The op is MetricsRegistry::toJson() between "prometheus" and
+  // "telemetry". A loop wakeup between the reply and the snapshot can
+  // tick a loop counter, so scrape again until they meet on an idle server.
+  std::string Got, Want;
+  for (int Attempt = 0; Attempt < 5 && (Got.empty() || Got != Want);
+       ++Attempt) {
+    ASSERT_TRUE(C.call(opRequest("metrics"), Resp, Err)) << Err;
+    Json Registry = obs::metrics().toJson();
+    ASSERT_NE(Resp.get("prometheus"), nullptr);
+    Json Expected = Json::object({{"ok", Json::boolean(true)},
+                                  {"prometheus", *Resp.get("prometheus")}});
+    for (const auto &[Name, Value] : Registry.members())
+      Expected.set(Name, Value);
+    Expected.set("telemetry", Json::boolean(obs::kEnabled));
+    Got = Resp.str();
+    Want = Expected.str();
+  }
+  EXPECT_EQ(Got, Want);
+}
+
+TEST(Server, RequestCountersStayBoundedAndEscaped) {
+  std::string Path = testSocketPath("opcount");
+  ServerOptions Opts;
+  Opts.UnixSocketPath = Path;
+  RunningServer RS(Opts);
+  ASSERT_TRUE(RS.Started);
+
+  Client C;
+  std::string Err;
+  ASSERT_TRUE(C.connectUnix(Path, Err)) << Err;
+  Json Resp;
+  for (unsigned I = 0; I < 1000; ++I)
+    ASSERT_TRUE(C.call(opRequest(("op" + std::to_string(I)).c_str()), Resp,
+                       Err))
+        << Err;
+  for (const char *Op : {"x\"y\\z", ""}) {
+    ASSERT_TRUE(C.call(opRequest(Op), Resp, Err)) << Err;
+    EXPECT_FALSE(Resp.getBool("ok", true));
+  }
+
+  // Only the ops the server answers have their own counter; any other op
+  // counts as "unknown" (an empty one as "bad").
+  const std::vector<std::string> Known = {
+      "analyze", "check", "ping", "stats", "metrics", "flightrecord",
+      "debug/flightrecord", "invalidate", "shutdown", "unknown", "bad"};
+  Json Doc;
+  ASSERT_TRUE(Json::parse(obs::metrics().toJson().str(), Doc, Err)) << Err;
+  const Json *Counters = Doc.get("counters");
+  ASSERT_NE(Counters, nullptr);
+  const std::string Prefix = "service.requests.";
+  for (const auto &[Name, Value] : Counters->members()) {
+    if (Name.rfind(Prefix, 0) == 0) {
+      EXPECT_EQ(std::count(Known.begin(), Known.end(),
+                           Name.substr(Prefix.size())),
+                1)
+          << Name;
+    }
+  }
+  EXPECT_GE(Counters->getUint("service.requests.unknown"), 1001u);
+  EXPECT_GE(Counters->getUint("service.requests.bad"), 1u);
+}
+
+TEST(Server, CheckResponseEmbedsTheCheckerReport) {
+  std::string Path = testSocketPath("checkjson");
+  ServerOptions Opts;
+  Opts.UnixSocketPath = Path;
+  RunningServer RS(Opts);
+  ASSERT_TRUE(RS.Started);
+
+  Client C;
+  std::string Err;
+  ASSERT_TRUE(C.connectUnix(Path, Err)) << Err;
+  unsigned Units = 0;
+  for (const auto &E : std::filesystem::directory_iterator(goldenDir())) {
+    std::string Name = E.path().filename().string();
+    if (Name.rfind("check_", 0) != 0 || E.path().extension() != ".atom")
+      continue;
+    ++Units;
+    std::string Source = readFile(E.path().string());
+    CompileOptions CO;
+    CO.K = Opts.DefaultK;
+    CO.Check = true;
+    std::unique_ptr<Compilation> Cold = compile(Source, CO);
+    ASSERT_TRUE(Cold->ok() && Cold->checkReport()) << Name;
+    Json Req = analyzeRequest(Name, Source);
+    Req.set("op", Json::string("check"));
+    // The embedded report is CheckReport::toJson() byte for byte, both
+    // when the checker runs and when the per-unit cache serves it.
+    for (bool Cached : {false, true}) {
+      Json Resp;
+      ASSERT_TRUE(C.call(Req, Resp, Err)) << Err;
+      EXPECT_EQ(Resp.getBool("checkCached", !Cached), Cached) << Name;
+      ASSERT_NE(Resp.get("check"), nullptr) << Resp.getString("error");
+      EXPECT_EQ(Resp.get("check")->str(), Cold->checkReport()->json(Name));
+    }
+  }
+  EXPECT_GE(Units, 5u);
 }
 
 TEST(Server, FlightRecordOpListsCompletedRequests) {
@@ -1632,6 +1726,13 @@ TEST(Server, FlightRecordOpListsCompletedRequests) {
   ASSERT_TRUE(C.call(opRequest("flightrecord"), Resp, Err)) << Err;
   ASSERT_TRUE(Resp.getBool("ok", false));
   EXPECT_EQ(Resp.getUint("capacity", 0), 4u);
+  // The op is FlightRecorder::toJson() behind "ok" and "telemetry".
+  Json Expected = Json::object({{"ok", Json::boolean(true)},
+                                {"telemetry", Json::boolean(obs::kEnabled)}});
+  Json Record = RS.S.flightRecorder().toJson();
+  for (const auto &[Name, Value] : Record.members())
+    Expected.set(Name, Value);
+  EXPECT_EQ(Resp.str(), Expected.str());
   if constexpr (!obs::kEnabled) {
     EXPECT_FALSE(Resp.getBool("telemetry", true));
     EXPECT_EQ(Resp.getUint("recorded", 99), 0u);

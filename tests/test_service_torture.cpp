@@ -68,18 +68,14 @@ std::string smallProgram() {
 }
 
 Json opRequest(const std::string &Op) {
-  Json R = Json::object();
-  R.set("op", Json::string(Op));
-  return R;
+  return Json::object({{"op", Json::string(Op)}});
 }
 
 Json analyzeRequest(const std::string &Unit, const std::string &Source) {
-  Json R = Json::object();
-  R.set("op", Json::string("analyze"));
-  R.set("unit", Json::string(Unit));
-  R.set("source", Json::string(Source));
-  R.set("jobs", Json::integer(1));
-  return R;
+  return Json::object({{"op", Json::string("analyze")},
+                       {"unit", Json::string(Unit)},
+                       {"source", Json::string(Source)},
+                       {"jobs", Json::integer(1)}});
 }
 
 struct RunningServer {
@@ -774,7 +770,7 @@ TEST(ShardedCache, EightTenantServerStressSumsHitCounters) {
       for (unsigned I = 0; I < 6; ++I) {
         Json Req = analyzeRequest(
             "tenant" + std::to_string(T) + ".atom", smallProgram());
-        Req.set("tenant", Json::string("t" + std::to_string(T)));
+        Req.set("tenant", Json::string('t' + std::to_string(T)));
         if (I == 3) // exercise the check-report cache domain too
           Req.set("op", Json::string("check"));
         if (I == 5) { // and snapshot invalidation racing other tenants

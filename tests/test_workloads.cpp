@@ -154,8 +154,9 @@ TEST_P(MicroHarnessTest, CompletesAndCountsOps) {
   MicroResult R = runMicro(P);
   EXPECT_EQ(R.Ops, 4u * 800u);
   EXPECT_GT(R.Seconds, 0.0);
-  if (P.Config == LockConfig::Stm)
+  if (P.Config == LockConfig::Stm) {
     EXPECT_GE(R.StmCommits, R.Ops) << "every op commits exactly once";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
